@@ -103,9 +103,7 @@ let better a b =
     if a.after.max_length < b.after.max_length then a else b
   else if a.after.total_length <> b.after.total_length then
     if a.after.total_length < b.after.total_length then a else b
-  else if a.proc1_seconds +. a.compaction_seconds
-          <= b.proc1_seconds +. b.compaction_seconds
-  then a
+  else if a.n <= b.n then a
   else b
 
 let best_n ?(strategy = Procedure2.paper_strategy) ?(ns = [ 2; 4; 8; 16 ])

@@ -45,7 +45,9 @@ val execute :
 
 val better : run -> run -> run
 (** The paper's best-[n] rule: smaller maximum stored length, then
-    smaller total stored length, then lower run time. *)
+    smaller total stored length. A tie on both keeps the smaller [n]
+    rather than the faster run, so the winner never depends on host
+    speed. *)
 
 val best_n :
   ?strategy:Procedure2.strategy ->

@@ -34,10 +34,11 @@ let sub t ~lo ~hi =
   if lo < 0 || hi >= length t || lo > hi then invalid_arg "Tseq.sub: bad range";
   { t with vecs = Array.sub t.vecs lo (hi - lo + 1) }
 
-let omit t u =
-  if u < 0 || u >= length t then invalid_arg "Tseq.omit: bad index";
+let omit ?(len = 1) t u =
   let n = length t in
-  { t with vecs = Array.init (n - 1) (fun i -> if i < u then t.vecs.(i) else t.vecs.(i + 1)) }
+  if u < 0 || u >= n || len < 1 then invalid_arg "Tseq.omit: bad index";
+  let stop = min n (u + len) in
+  { t with vecs = Array.append (Array.sub t.vecs 0 u) (Array.sub t.vecs stop (n - stop)) }
 
 let repeat t n =
   if n < 1 then invalid_arg "Tseq.repeat: n must be >= 1";

@@ -33,8 +33,9 @@ val sub : t -> lo:int -> hi:int -> t
     time units [lo] through [hi] inclusive. Raises [Invalid_argument] on
     an invalid range. *)
 
-val omit : t -> int -> t
-(** [omit t u] removes the vector at time unit [u]. *)
+val omit : ?len:int -> t -> int -> t
+(** [omit t u] removes the vector at time unit [u]; with [len] (default
+    1), the [len] vectors from [u] on, as many as there are. *)
 
 val repeat : t -> int -> t
 (** [repeat t n] is [t^n]; [n >= 1]. *)

@@ -209,6 +209,13 @@ type trace = {
   g_dff_d : int array;
 }
 
+(* A flip-flop state is one trace code per flip-flop, in [dff_nodes]
+   order; all-X is all zero codes. *)
+let check_state t st =
+  if Bytes.length st <> Array.length t.dff_nodes then
+    invalid_arg "Ppsfp: state width differs from the flip-flop count";
+  Bytes.iter (fun c -> if Char.code c > 2 then invalid_arg "Ppsfp: bad state code") st
+
 let trace t seq = {
   tr_circuit = t.circuit;
   seq;
@@ -227,6 +234,7 @@ let trace t seq = {
 }
 
 let trace_length tr = tr.upto
+let trace_sequence tr = tr.seq
 
 (* Scalar ternary evaluation over 2-bit codes, with exactly the packed
    kernel's bitwise formulas applied to 1-bit planes — so the trace and
@@ -305,6 +313,58 @@ let trace_ensure tr u =
     trace_step tr
   done
 
+(* The present state entering step [u] is what [trace_step] wrote into
+   the flip-flop nodes' bytes of that step. *)
+let trace_state tr u =
+  trace_ensure tr u;
+  let base = u * tr.tr_n in
+  Bytes.init (Array.length tr.g_dffs) (fun i ->
+      Bytes.get tr.data (base + tr.g_dffs.(i)))
+
+(* Steps before [at] are the same machine on the same vectors. From
+   [at] on, the spliced machine sees the vectors [tr] sees from
+   [at + omit] on, so once its state equals [tr]'s at the matching step
+   every later step is [tr]'s too: simulate until then, copy the rest. *)
+let splice ?reuse tr ~at ~omit =
+  let len = Tseq.length tr.seq in
+  if at < 0 || at >= len || omit < 1 then invalid_arg "Ppsfp.splice: bad range";
+  let omit = min omit (len - at) in
+  trace_ensure tr (len - 1);
+  let n = tr.tr_n and len' = len - omit in
+  let data =
+    match reuse with
+    | Some r when r.data != tr.data && Bytes.length r.data >= max 1 len' * n -> r.data
+    | _ -> Bytes.make (max 1 len' * n) '\000'
+  in
+  Bytes.blit tr.data 0 data 0 (at * n);
+  let sp =
+    {
+      tr with
+      seq = Tseq.omit ~len:omit tr.seq at;
+      data;
+      upto = at;
+      g_state = Array.map (fun d -> Char.code (Bytes.get tr.data ((at * n) + d))) tr.g_dffs;
+    }
+  in
+  let converged u =
+    let base = (u + omit) * n in
+    let rec go i =
+      i = Array.length sp.g_dffs
+      || (sp.g_state.(i) = Char.code (Bytes.get tr.data (base + sp.g_dffs.(i))) && go (i + 1))
+    in
+    go 0
+  in
+  while sp.upto < len' && not (converged sp.upto) do
+    trace_step sp
+  done;
+  if sp.upto < len' then begin
+    let u = sp.upto in
+    Bytes.blit tr.data ((u + omit) * n) data (u * n) ((len' - u) * n);
+    Array.blit tr.g_state 0 sp.g_state 0 (Array.length sp.g_state);
+    sp.upto <- len'
+  end;
+  sp
+
 (* --- forces ---------------------------------------------------------- *)
 
 let check_mask mask =
@@ -371,13 +431,47 @@ let clear_forces t =
   t.pin_forced_comb <- [];
   t.pin_forced_dffs <- []
 
-let reset t =
-  Array.fill t.state_ones 0 (Array.length t.state_ones) 0;
-  Array.fill t.state_zeros 0 (Array.length t.state_zeros) 0;
-  Array.fill t.ff_dirty 0 (Array.length t.ff_dirty) false;
+let rearm t =
   t.diff_lanes <- 0;
   t.full_mode <- false;
   t.activity <- 0.0
+
+let reset ?state t =
+  (match state with
+  | None ->
+    Array.fill t.state_ones 0 (Array.length t.state_ones) 0;
+    Array.fill t.state_zeros 0 (Array.length t.state_zeros) 0
+  | Some st ->
+    check_state t st;
+    for i = 0 to Bytes.length st - 1 do
+      let c = Char.code (Bytes.get st i) in
+      t.state_ones.(i) <- -(c land 1);
+      t.state_zeros.(i) <- -((c lsr 1) land 1)
+    done);
+  Array.fill t.ff_dirty 0 (Array.length t.ff_dirty) false;
+  rearm t
+
+let lane_state t ~lane =
+  if lane < 0 || lane > 62 then invalid_arg "Ppsfp: lane out of range 0..62";
+  Bytes.init (Array.length t.state_ones) (fun i ->
+      let o = (t.state_ones.(i) lsr lane) land 1 in
+      let z = (t.state_zeros.(i) lsr lane) land 1 in
+      Char.unsafe_chr (o lor (z lsl 1)))
+
+let load_lane t ~lane state =
+  if lane < 1 || lane > 62 then invalid_arg "Ppsfp: lane out of range 1..62";
+  check_state t state;
+  let mask = 1 lsl lane in
+  let keep = lnot mask in
+  for i = 0 to Bytes.length state - 1 do
+    let c = Char.code (Bytes.get state i) in
+    let so = (t.state_ones.(i) land keep) lor (-(c land 1) land mask) in
+    let sz = (t.state_zeros.(i) land keep) lor (-((c lsr 1) land 1) land mask) in
+    t.state_ones.(i) <- so;
+    t.state_zeros.(i) <- sz;
+    t.ff_dirty.(i) <- so <> -(so land 1) || sz <> -(sz land 1)
+  done;
+  rearm t
 
 let drop_lanes t mask =
   let mask = mask land lnot 1 in

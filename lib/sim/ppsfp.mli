@@ -43,6 +43,27 @@ val trace : t -> Bist_logic.Tseq.t -> trace
 val trace_length : trace -> int
 (** Steps materialized so far. *)
 
+val trace_sequence : trace -> Bist_logic.Tseq.t
+(** The sequence the trace simulates. *)
+
+val trace_state : trace -> int -> Bytes.t
+(** [trace_state tr u] is the fault-free flip-flop state entering time
+    step [u] (materializing the trace that far). Raises
+    [Invalid_argument] if [u] is beyond the sequence. Flip-flop states
+    are one byte per flip-flop in [Netlist.dffs] order, coded 0 = X,
+    1 = One, 2 = Zero. *)
+
+val splice : ?reuse:trace -> trace -> at:int -> omit:int -> trace
+(** [splice tr ~at ~omit] is the fully materialized trace of [tr]'s
+    sequence with the [omit] vectors from [at] on removed (as many as
+    there are). Steps before [at] are copied; from [at] the machine is
+    simulated only until its state equals [tr]'s at the matching step,
+    after which every step is copied. [tr] is materialized in full
+    first. A materialized trace is never written again, so it may be
+    read by several domains. [reuse] offers the storage of a trace that
+    is not read again (it is used when large enough). Raises
+    [Invalid_argument] unless [0 <= at < length] and [omit >= 1]. *)
+
 val add_output_force :
   t -> Bist_circuit.Netlist.node -> mask:int -> Bist_logic.Ternary.t -> unit
 
@@ -56,15 +77,31 @@ val add_pin_force :
 
 val clear_forces : t -> unit
 
-val reset : t -> unit
-(** Every flip-flop of every lane back to X; re-arms event mode. Forces
-    stay installed. *)
+val reset : ?state:Bytes.t -> t -> unit
+(** Every flip-flop of every lane to [state] (default: all X); re-arms
+    event mode. Forces stay installed. Steps then continue from the time
+    step whose entering fault-free state is [state] (the first one
+    after an all-X reset): a group resumed at step [u] resets to
+    [trace_state tr u] and steps [u], [u + 1], .... A state of the
+    wrong width or with a code other than 0..2 raises
+    [Invalid_argument]. *)
+
+val lane_state : t -> lane:int -> Bytes.t
+(** The present flip-flop state of one lane (0..62; lane 0 is the
+    fault-free machine): the state the next {!step} reads. *)
+
+val load_lane : t -> lane:int -> Bytes.t -> unit
+(** Overwrite one faulty lane's (1..62) flip-flop state, e.g. with a
+    {!lane_state} saved from another group at the same time step, and
+    re-arm event mode as {!reset} does. The lane's forces are not
+    touched; install its fault as usual. *)
 
 val step : t -> trace -> int -> unit
 (** [step t trace u] applies time step [u] of the trace's sequence to all
     lanes and advances the flip-flop state. Steps must be applied in
-    order from 0 after a {!reset}. Raises [Invalid_argument] if the trace
-    belongs to a different circuit or [u] is out of range. *)
+    order from 0 after a {!reset} (from [u] after a [reset ~state]).
+    Raises [Invalid_argument] if the trace belongs to a different
+    circuit or [u] is out of range. *)
 
 val po_diff_lanes : t -> int
 (** Detection mask of the most recent {!step}: lanes (other than 0) where

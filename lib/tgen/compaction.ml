@@ -33,34 +33,11 @@ let () =
            (Tseq.length s.seq) s.initial_length s.trials)
     | _ -> None)
 
-let detected_set ?obs ?pool ?ctl ?targets universe seq =
-  (Fsim.run ?obs ?pool ?ctl ?targets ~stop_when_all_detected:true universe seq)
-    .Fsim.detected
-
-(* Evenly-spaced sample of a fault set; a candidate that loses any
-   sampled fault can be rejected without the full re-simulation. *)
-let sample_of set cap =
-  let total = Bitset.cardinal set in
-  if total <= cap then set
-  else begin
-    let sample = Bitset.create (Bitset.capacity set) in
-    let stride = total / cap in
-    let i = ref 0 in
-    Bitset.iter
-      (fun id ->
-        if !i mod stride = 0 then Bitset.add sample id;
-        incr i)
-      set;
-    sample
-  end
-
-let remove_block seq ~start ~len =
-  let n = Tseq.length seq in
-  let stop = min n (start + len) in
-  if start = 0 then
-    if stop >= n then Tseq.empty (Tseq.width seq) else Tseq.sub seq ~lo:stop ~hi:(n - 1)
-  else if stop >= n then Tseq.sub seq ~lo:0 ~hi:(start - 1)
-  else Tseq.concat (Tseq.sub seq ~lo:0 ~hi:(start - 1)) (Tseq.sub seq ~lo:stop ~hi:(n - 1))
+(* The trial starts a pass still has ahead of it: [start], [start -
+   block], ... down to 0, at most [budget] of them. *)
+let pass_starts ~start ~block ~budget =
+  let rec go s n acc = if s < 0 || n = 0 then acc else go (s - block) (n - 1) (s :: acc) in
+  Array.of_list (go start budget [])
 
 let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
     ?resume universe seq =
@@ -86,25 +63,33 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       initial_length;
     }
   in
-  let must_detect =
+  let baseline ?targets () =
+    Obs.span obs ~cat:"compaction" "compaction.baseline" (fun () ->
+        Fsim.run ~obs ?pool ?ctl ?targets ~stop_when_all_detected:true universe
+          !current)
+  in
+  (* [det] holds the current sequence's detection time of every
+     must-detect fault. It is derived data: a resumed run recomputes it
+     from the snapshot's sequence. *)
+  let must_detect, det =
     match resume with
-    | Some { must_detect = Some md; _ } -> Bitset.copy md
+    | Some { must_detect = Some md; _ } -> (
+      let md = Bitset.copy md in
+      match baseline ~targets:md () with
+      | o -> (md, o.Fsim.det_time)
+      | exception Ctl.Preempted _ -> raise (Interrupted (Option.get resume)))
     | _ -> (
       (match ctl with
       | Some c when Ctl.stop_reason c <> None ->
         raise (Interrupted (pre_baseline_snapshot ()))
       | _ -> ());
-      match
-        Obs.span obs ~cat:"compaction" "compaction.baseline" (fun () ->
-            detected_set ~obs ?pool ?ctl universe !current)
-      with
-      | md ->
+      match baseline () with
+      | o ->
         committed ();
-        md
+        (o.Fsim.detected, o.Fsim.det_time)
       | exception Ctl.Preempted _ ->
         raise (Interrupted (pre_baseline_snapshot ())))
   in
-  let must_sample = sample_of must_detect 800 in
   let block = ref 0 and start = ref 0 in
   (match resume with
   | Some ({ must_detect = Some _; _ } as s) ->
@@ -127,48 +112,97 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
       initial_length;
     }
   in
-  let keeps_coverage candidate =
-    (* Two-stage check: the cheap sampled rejection filter first, the
-       full target set only when the sample survives. *)
-    Bitset.subset must_sample
-      (detected_set ~obs ?pool ?ctl ~targets:must_sample universe candidate)
-    && Bitset.subset must_detect
-         (detected_set ~obs ?pool ?ctl ~targets:must_detect universe candidate)
+  let group_steps = ref 0 and live_faults = ref 0 in
+  let by_detection ids = Array.stable_sort (fun a b -> compare det.(a) det.(b)) ids in
+  (* Checkpoints of the current sequence at the pass's remaining trial
+     starts, captured once per pass (leg): an accepted omission at [s]
+     changes nothing before [s], and every later trial of the pass
+     starts before [s]. Only faults detected at or after the earliest
+     start are captured, grouped by detection time so that groups end
+     together. *)
+  let capture_pass () =
+    let at =
+      pass_starts ~start:!start ~block:!block ~budget:(max_trials - !trials)
+    in
+    let targets =
+      Array.of_list
+        (List.filter (fun id -> det.(id) >= at.(0)) (Bitset.elements must_detect))
+    in
+    by_detection targets;
+    let pass, steps = Fsim.capture ?ctl universe !current ~targets ~at in
+    group_steps := !group_steps + steps;
+    pass
+  in
+  (* The accept/reject predicate of omitting [block] vectors at [s]:
+     every must-detect fault stays detected. A fault detected before [s]
+     is detected at the same time by the candidate, whose prefix is the
+     same; the others are resumed from their checkpointed state under
+     the vectors that follow the omission. They run in order of their
+     current detection time, so the faults the omitted block detected —
+     the likeliest to be lost — go first, and the first group that ends
+     with a fault undetected rejects the candidate without simulating
+     the rest. Returns the resumed faults' new detection times on
+     success. *)
+  let keeps_coverage pass s =
+    let targets = Fsim.live_targets pass ~at:s in
+    by_detection targets;
+    live_faults := !live_faults + Array.length targets;
+    if Array.length targets = 0 then Some [||]
+    else begin
+      let o, steps =
+        Fsim.resume ~obs ?pool ?ctl pass ~at:s ~omit:!block ~targets
+      in
+      group_steps := !group_steps + steps;
+      if Array.for_all (fun id -> o.Fsim.det_time.(id) >= 0) targets then
+        Some (Array.map (fun id -> (id, o.Fsim.det_time.(id))) targets)
+      else None
+    end
   in
   while !block >= 1 && !trials < max_trials do
     (* Back-to-front scan at the current granularity: one span per pass,
        whose args report what the pass achieved (evaluated at exit). *)
     let pass_block = !block in
     let pass_trials = !trials and pass_accepted = !accepted in
+    let pass_steps = !group_steps and pass_live = !live_faults in
     Obs.span obs ~cat:"compaction" "compaction.pass"
       ~args:(fun () ->
         [ ("block", string_of_int pass_block);
           ("trials", string_of_int (!trials - pass_trials));
           ("accepted", string_of_int (!accepted - pass_accepted));
-          ("length", string_of_int (Tseq.length !current)) ])
+          ("length", string_of_int (Tseq.length !current));
+          ("group_steps", string_of_int (!group_steps - pass_steps));
+          ("live_faults", string_of_int (!live_faults - pass_live)) ])
       (fun () ->
+        let pass = lazy (capture_pass ()) in
         while !start >= 0 && !trials < max_trials do
           (match ctl with
           | Some c when Ctl.stop_reason c <> None ->
             raise (Interrupted (trial_snapshot ()))
           | _ -> ());
-          (* A trial mutates [current] only after its simulations, so a
-             [Preempted] escaping mid-trial rewinds to the trial entry by
-             restoring the counter. *)
+          (* A trial mutates [current] and [det] only after its
+             simulations, so a [Preempted] escaping mid-trial rewinds to
+             the trial entry by restoring the counter. *)
           let trials_entry = !trials in
           (try
-             let candidate = remove_block !current ~start:!start ~len:!block in
+             let p = Lazy.force pass in
              incr trials;
-             if Tseq.length candidate > 0 && keeps_coverage candidate then begin
-               incr accepted;
-               current := candidate
-             end;
-             committed ()
+             (* An omission that would leave nothing is never kept. *)
+             if Tseq.length !current > !block || !start > 0 then
+               match keeps_coverage p !start with
+               | Some times ->
+                 incr accepted;
+                 current := Tseq.omit ~len:!block !current !start;
+                 Fsim.omit p ~at:!start ~omit:!block;
+                 Array.iter (fun (id, t) -> det.(id) <- t) times
+               | None -> ()
            with Ctl.Preempted _ ->
              trials := trials_entry;
              raise (Interrupted (trial_snapshot ())));
+          committed ();
           start := !start - !block
         done);
+    Obs.count obs ~by:(!group_steps - pass_steps) "compaction.group_steps";
+    Obs.count obs ~by:(!live_faults - pass_live) "compaction.live_faults";
     block := (if !block = 1 then 0 else !block / 2);
     if !block >= 1 then start := Tseq.length !current - !block
   done;

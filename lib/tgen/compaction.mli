@@ -8,6 +8,12 @@
     Scanning runs back-to-front because later vectors are more often
     redundant once earlier vectors have synchronized the circuit.
 
+    A trial re-simulates only what the omission can change: the faults
+    the current sequence detects at or after the omission point, from
+    their states there, captured once per pass (DESIGN.md §13.1). The
+    accepted omissions are exactly those of a from-scratch
+    re-simulation of every candidate.
+
     The result never detects fewer faults than the input sequence, and
     its detected set is a superset of the input's. *)
 
@@ -62,9 +68,13 @@ val compact :
     across all the resumed legs.
 
     [obs] records a ["compaction.baseline"] span for the initial
-    must-detect simulation and one ["compaction.pass"] span per block
+    must-detect simulation (and for the detection-time recomputation of
+    a resumed run) and one ["compaction.pass"] span per block
     granularity, whose args (evaluated when the pass ends) report the
-    block size, trials, accepted omissions and resulting length. *)
+    block size, trials, accepted omissions, resulting length,
+    group-steps simulated and faults resumed. The last two are also
+    counted per pass as ["compaction.group_steps"] and
+    ["compaction.live_faults"]. *)
 
 val encode_snapshot : Bist_resilience.Checkpoint.Io.writer -> snapshot -> unit
 val decode_snapshot : Bist_resilience.Checkpoint.Io.reader -> snapshot

@@ -199,9 +199,16 @@ rm -rf "$work/spool"
   --directed 300 -o "$work/pref3.seq" >/dev/null \
   || fail "local reference run for the poison job failed"
 start_daemon --workers 2 --worker-cpu 1
+log_mark=$(wc -l < "$work/daemon.log")
 "$BISTD" submit tgen --payload "$work/x1488.blif" --seed 7 --trials 2000 \
   --directed 300 --port "$port" --wait > "$work/poison.client" 2>&1 &
 poison=$!
+# The poison job must be job 1: submit the co-tenant only once it is
+# admitted, or the two clients race for the first id.
+for _ in $(seq 1 100); do
+  tail -n +"$((log_mark + 1))" "$work/daemon.log" | grep -q "admitted job 1 " && break
+  sleep 0.05
+done
 "$BISTD" submit tgen s27 --seed 7 --trials 50 --port "$port" --wait \
   > "$work/cotenant.seq" 2> "$work/cotenant.err" \
   || fail "co-tenant job failed alongside the poison job: $(cat "$work/cotenant.err")"

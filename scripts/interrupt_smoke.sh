@@ -64,6 +64,47 @@ tgen_deadline_loop() {
 tgen_deadline_loop s27  0.0001
 tgen_deadline_loop x344 0.05
 
+# --- tgen x1423: preemption inside compaction passes -----------------
+#
+# Compaction keeps per-pass prefix checkpoints (DESIGN.md §13) that are
+# derived data and never enter the snapshot: a leg resumed mid-pass must
+# rebuild them from the snapshot's sequence and reach the same T0. The
+# deadline is short enough that several legs stop inside compaction
+# passes (their traces hold a compaction.pass span); the result must be
+# cmp-identical to the uninterrupted run and carry the pinned T0 CRC.
+
+crc32() { python3 -c 'import sys, zlib; print("%08x" % zlib.crc32(open(sys.argv[1], "rb").read()))' "$1"; }
+
+x1423_crc=4308e6c4
+ref="$work/x1423.ref" out="$work/x1423.seq" ckpt="$work/x1423.ckpt"
+"$BISTGEN" tgen x1423 --seed 2026 -j 1 -o "$ref" >/dev/null 2>&1 \
+  || fail "x1423: reference run failed"
+[ "$(crc32 "$ref")" = "$x1423_crc" ] \
+  || fail "x1423: reference T0 CRC $(crc32 "$ref"), pinned $x1423_crc"
+legs=0 preempts=0 in_pass=0 resume=()
+while :; do
+  legs=$((legs + 1))
+  [ "$legs" -le 500 ] || fail "x1423: resume loop did not converge"
+  "$BISTGEN" tgen x1423 --seed 2026 -j 1 -o "$out" --deadline 0.3 \
+    --checkpoint "$ckpt" --trace "$work/x1423.trace" ${resume[@]+"${resume[@]}"} \
+    >/dev/null 2>&1
+  st=$?
+  case $st in
+    0) break ;;
+    3)
+      preempts=$((preempts + 1))
+      [ -f "$ckpt" ] || fail "x1423: exit 3 but no checkpoint written"
+      grep -q '"compaction.pass"' "$work/x1423.trace" && in_pass=$((in_pass + 1))
+      resume=(--resume "$ckpt")
+      ;;
+    *) fail "x1423: unexpected exit $st on leg $legs" ;;
+  esac
+done
+[ "$in_pass" -ge 2 ] || fail "x1423: only $in_pass preemption(s) landed inside compaction passes"
+cmp -s "$ref" "$out" || fail "x1423: resumed result differs from uninterrupted run"
+[ "$(crc32 "$out")" = "$x1423_crc" ] || fail "x1423: T0 CRC $(crc32 "$out"), pinned $x1423_crc"
+say "tgen x1423: bit-identical (CRC $x1423_crc) after $preempts preemption(s), $in_pass inside compaction passes"
+
 # --- PPSFP core: parallel deadline preemption, cross-kernel resume ---
 #
 # The fault simulator's internal representation must be invisible to

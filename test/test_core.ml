@@ -261,6 +261,25 @@ let test_scheme_operator_ablation () =
     [ [ Ops.Repeat ]; [ Ops.Repeat; Ops.Complement ];
       [ Ops.Repeat; Ops.Complement; Ops.Shift ]; [ Ops.Reverse ] ]
 
+(* A tie on (max, total) stored length must not fall back to timings:
+   the smaller n wins whichever run was faster, in either argument
+   order. *)
+let test_better_tie_is_deterministic () =
+  let r2 = Scheme.execute ~seed:7 ~n:2 ~t0:s27_t0 s27_universe in
+  let r4 = { r2 with Scheme.n = 4 } in
+  let timed (r : Scheme.run) secs =
+    { r with Scheme.proc1_seconds = secs; compaction_seconds = secs }
+  in
+  let slow2 = timed r2 9.0 and fast4 = timed r4 0.001 in
+  let fast2 = timed r2 0.001 and slow4 = timed r4 9.0 in
+  List.iter
+    (fun (label, a, b) ->
+      Alcotest.(check int) label 2 (Scheme.better a b).Scheme.n)
+    [ ("slow n=2 vs fast n=4", slow2, fast4);
+      ("fast n=4 vs slow n=2", fast4, slow2);
+      ("fast n=2 vs slow n=4", fast2, slow4);
+      ("slow n=4 vs fast n=2", slow4, fast2) ]
+
 let suite =
   [
     Alcotest.test_case "paper Table 1" `Quick test_table1;
@@ -284,6 +303,8 @@ let suite =
     Alcotest.test_case "scheme on s27" `Quick test_scheme_s27;
     Alcotest.test_case "scheme deterministic" `Quick test_scheme_deterministic;
     Alcotest.test_case "best n rule" `Quick test_best_n;
+    Alcotest.test_case "best n tie ignores timings" `Quick
+      test_better_tie_is_deterministic;
     Alcotest.test_case "operator ablation stays sound" `Quick
       test_scheme_operator_ablation;
   ]

@@ -294,6 +294,14 @@ let test_pipeline_trace () =
   List.iter
     (fun name -> ignore (find_event events name))
     [ "engine.selection"; "compaction.baseline"; "compaction.pass"; "fsim.shard" ];
+  (* The incremental compaction work counters ride beside the spans. *)
+  let metrics = Option.get (Obs.metrics obs) in
+  List.iter
+    (fun name ->
+      match Bist_obs.Metrics.counter metrics name with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.failf "counter %s missing or zero" name)
+    [ "compaction.group_steps"; "compaction.live_faults" ];
   (* Every event has the mandatory Chrome trace fields. *)
   List.iter
     (fun e ->

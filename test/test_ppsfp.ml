@@ -287,6 +287,128 @@ let test_lane0_reserved_and_validation () =
     (Invalid_argument "Ppsfp.step: trace belongs to a different circuit")
     (fun () -> Ppsfp.step sim tr2 0)
 
+(* Lane states saved mid-sequence and restored into other lanes of a
+   fresh group must continue exactly where they left off: run a group to
+   step [u], save every faulty lane, load the states into a new group
+   with the lanes reversed after resetting it to the fault-free state at
+   [u], step on from [u], and the detection times must equal an
+   uninterrupted run and the scalar Seq_sim oracle on structural
+   mutants. *)
+let check_save_restore circuit ~seed ~len ~u =
+  let universe = Universe.collapsed circuit in
+  let seq = seq_for circuit ~seed ~len in
+  let reference = det_times "ppsfp" universe seq in
+  let good = Bist_sim.Seq_sim.run circuit seq in
+  let n_faults = Universe.size universe in
+  let install sim id ~lane =
+    match (Universe.get universe id : Fault.t) with
+    | { site = Fault.Output n; stuck } ->
+      Ppsfp.add_output_force sim n ~mask:(1 lsl lane) stuck
+    | { site = Fault.Pin { gate; pin }; stuck } ->
+      Ppsfp.add_pin_force sim ~gate ~pin ~mask:(1 lsl lane) stuck
+  in
+  let base = ref 0 in
+  while !base < n_faults do
+    let size = min 62 (n_faults - !base) in
+    let id j = !base + j in
+    (* First leg: lanes 1..size, steps 0..u-1, no dropping. *)
+    let first = Ppsfp.create circuit in
+    let tr = Ppsfp.trace first seq in
+    for j = 0 to size - 1 do
+      install first (id j) ~lane:(j + 1)
+    done;
+    Ppsfp.reset first;
+    let det = Array.make size (-1) in
+    for step = 0 to u - 1 do
+      Ppsfp.step first tr step;
+      let diff = Ppsfp.po_diff_lanes first in
+      for j = 0 to size - 1 do
+        if det.(j) < 0 && diff land (1 lsl (j + 1)) <> 0 then det.(j) <- step
+      done
+    done;
+    let saved = Array.init size (fun j -> Ppsfp.lane_state first ~lane:(j + 1)) in
+    let good_state = Ppsfp.trace_state tr u in
+    Alcotest.(check bytes) "lane 0 is the traced machine" good_state
+      (Ppsfp.lane_state first ~lane:0);
+    (* Second leg: a fresh group, fault j in lane [size - j]. *)
+    let second = Ppsfp.create circuit in
+    for j = 0 to size - 1 do
+      install second (id j) ~lane:(size - j)
+    done;
+    Ppsfp.reset ~state:good_state second;
+    Array.iteri (fun j st -> Ppsfp.load_lane second ~lane:(size - j) st) saved;
+    for step = u to len - 1 do
+      Ppsfp.step second tr step;
+      let diff = Ppsfp.po_diff_lanes second in
+      for j = 0 to size - 1 do
+        if det.(j) < 0 && diff land (1 lsl (size - j)) <> 0 then det.(j) <- step
+      done
+    done;
+    for j = 0 to size - 1 do
+      let fault = Universe.get universe (id j) in
+      let label =
+        Printf.sprintf "%s fault %s resumed at %d" (Netlist.circuit_name circuit)
+          (Fault.name circuit fault) u
+      in
+      Alcotest.(check int) (label ^ " == uninterrupted") reference.(id j) det.(j);
+      let bad = Bist_sim.Seq_sim.run (mutant circuit fault) seq in
+      Alcotest.(check int) (label ^ " == Seq_sim mutant") (scalar_det_time good bad)
+        det.(j)
+    done;
+    base := !base + size
+  done
+
+let test_save_restore_lanes () =
+  check_save_restore (Bist_bench.S27.circuit ()) ~seed:5 ~len:30 ~u:11;
+  List.iter
+    (fun cseed ->
+      check_save_restore (Testutil.small_circuit cseed) ~seed:(cseed + 2) ~len:24
+        ~u:(3 + (cseed mod 9)))
+    [ 2; 9; 14; 33; 71 ];
+  let x298 = (Option.get (Bist_bench.Registry.find "x298")).circuit () in
+  check_save_restore x298 ~seed:8 ~len:40 ~u:17
+
+(* A spliced trace is the trace of the sequence with the block omitted,
+   whether the omission lands before, inside or at the end of the
+   window where the machine re-converges. *)
+let test_splice_equals_fresh_trace () =
+  List.iter
+    (fun (circuit, seed, len) ->
+      let seq = seq_for circuit ~seed ~len in
+      let sim = Ppsfp.create circuit in
+      let tr = Ppsfp.trace sim seq in
+      List.iter
+        (fun (at, omit) ->
+          let sp = Ppsfp.splice tr ~at ~omit in
+          let fresh = Ppsfp.trace sim (Tseq.omit ~len:omit seq at) in
+          let len' = len - min omit (len - at) in
+          Alcotest.(check int) "spliced length" len'
+            (Tseq.length (Ppsfp.trace_sequence sp));
+          Alcotest.(check int) "fully materialized" len' (Ppsfp.trace_length sp);
+          for u = 0 to len' - 1 do
+            Alcotest.(check bytes)
+              (Printf.sprintf "%s at=%d omit=%d: state at %d"
+                 (Netlist.circuit_name circuit) at omit u)
+              (Ppsfp.trace_state fresh u) (Ppsfp.trace_state sp u)
+          done)
+        [ (0, 1); (3, 2); (7, 5); (len - 4, 2); (len - 3, 10); (len - 1, 1) ])
+    [ (Bist_bench.S27.circuit (), 6, 24);
+      (Testutil.small_circuit 41, 3, 30);
+      ((Option.get (Bist_bench.Registry.find "x298")).circuit (), 4, 40) ]
+
+let test_state_validation () =
+  let circuit = Bist_bench.S27.circuit () in
+  let sim = Ppsfp.create circuit in
+  let width = Netlist.num_dffs circuit in
+  Alcotest.check_raises "state width"
+    (Invalid_argument "Ppsfp: state width differs from the flip-flop count")
+    (fun () -> Ppsfp.reset ~state:(Bytes.make (width + 1) '\000') sim);
+  Alcotest.check_raises "state code" (Invalid_argument "Ppsfp: bad state code")
+    (fun () -> Ppsfp.load_lane sim ~lane:1 (Bytes.make width '\003'));
+  Alcotest.check_raises "lane 0 is not loadable"
+    (Invalid_argument "Ppsfp: lane out of range 1..62") (fun () ->
+      Ppsfp.load_lane sim ~lane:0 (Bytes.make width '\000'))
+
 (* BIST_FSIM validation: unknown values warn and fall back to ppsfp. *)
 let test_bist_fsim_fallback () =
   let circuit = Bist_bench.S27.circuit () in
@@ -315,4 +437,9 @@ let suite =
     Alcotest.test_case "ppsfp argument validation" `Quick
       test_lane0_reserved_and_validation;
     Alcotest.test_case "BIST_FSIM fallback" `Quick test_bist_fsim_fallback;
+    Alcotest.test_case "lane states save/restore across groups" `Quick
+      test_save_restore_lanes;
+    Alcotest.test_case "spliced trace == fresh trace" `Quick
+      test_splice_equals_fresh_trace;
+    Alcotest.test_case "state argument validation" `Quick test_state_validation;
   ]

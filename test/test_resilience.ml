@@ -421,7 +421,24 @@ let test_compaction_resume_identity () =
   let seq, stats, legs = go None 1 in
   Alcotest.(check bool) "was actually preempted" true (legs > 1);
   Testutil.check_seq "same compacted sequence" ref_seq seq;
-  Alcotest.(check bool) "same stats" true (ref_stats = stats)
+  Alcotest.(check bool) "same stats" true (ref_stats = stats);
+  (* Preempted at every trial: a deadline already past when each leg
+     starts fires at the first poll after a commit, so every leg after
+     the baseline's commits exactly one trial and the per-pass
+     checkpoints are rebuilt from the snapshot on every leg. *)
+  let rec every resume legs =
+    if legs > 10_000 then Alcotest.fail "resume loop does not converge";
+    let ctl = expiring_ctl ~after_calls:1 in
+    match Compaction.compact ~max_trials:200 ~ctl ?resume universe t0 with
+    | seq, stats -> (seq, stats, legs)
+    | exception Compaction.Interrupted s -> every (Some s) (legs + 1)
+  in
+  let seq, stats, legs = every None 1 in
+  Alcotest.(check int) "one leg per trial, plus the baseline's" (stats.trials + 1)
+    legs;
+  Testutil.check_seq "same sequence, preempted at every trial" ref_seq seq;
+  Alcotest.(check bool) "same stats, preempted at every trial" true
+    (ref_stats = stats)
 
 let test_compaction_snapshot_codec () =
   let universe = s27_universe () in

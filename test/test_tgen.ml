@@ -78,6 +78,106 @@ let test_compaction_idempotent_coverage =
          let t0', _ = Compaction.compact universe t0 in
          Bitset.subset before (Fsim.run universe t0').Fsim.detected))
 
+(* --- incremental compaction vs the from-zero oracle ------------------ *)
+
+(* The accept/reject predicate as it was before prefix checkpoints: the
+   whole candidate re-simulated from the all-X state over every
+   must-detect fault. *)
+let keeps_coverage universe must_detect candidate =
+  Bitset.subset must_detect
+    (Fsim.run ~targets:must_detect ~stop_when_all_detected:true universe
+       candidate)
+      .Fsim.detected
+
+(* The block-omission scan driven by [keeps_coverage]: same block
+   schedule, same back-to-front order, same trial accounting. *)
+let oracle_compact ?initial_block ?(max_trials = max_int) universe seq =
+  let must_detect = (Fsim.run universe seq).Fsim.detected in
+  let current = ref seq and trials = ref 0 and accepted = ref 0 in
+  let block =
+    ref
+      (match initial_block with
+      | Some b -> max 1 b
+      | None -> max 1 (Tseq.length seq / 8))
+  in
+  let start = ref (Tseq.length seq - !block) in
+  while !block >= 1 && !trials < max_trials do
+    while !start >= 0 && !trials < max_trials do
+      incr trials;
+      let v = Tseq.to_array !current in
+      let n = Array.length v in
+      let stop = min n (!start + !block) in
+      let kept = Array.append (Array.sub v 0 !start) (Array.sub v stop (n - stop)) in
+      if Array.length kept > 0 then begin
+        let candidate = Tseq.of_vectors kept in
+        if keeps_coverage universe must_detect candidate then begin
+          incr accepted;
+          current := candidate
+        end
+      end;
+      start := !start - !block
+    done;
+    block := if !block = 1 then 0 else !block / 2;
+    if !block >= 1 then start := Tseq.length !current - !block
+  done;
+  (!current, !trials, !accepted)
+
+let pool2 = Bist_parallel.Pool.create ~jobs:2 ()
+
+(* One oracle run; the incremental scan must match it at pool widths 1
+   and 2. *)
+let check_against_oracle ~label ?initial_block ?max_trials universe seq =
+  let expected, trials, accepted =
+    oracle_compact ?initial_block ?max_trials universe seq
+  in
+  List.iter
+    (fun (width, pool) ->
+      let label =
+        Printf.sprintf "%s, block %s, jobs %d" label
+          (match initial_block with Some b -> string_of_int b | None -> "auto")
+          width
+      in
+      let got, stats =
+        Compaction.compact ?initial_block ?max_trials ?pool universe seq
+      in
+      Testutil.check_seq (label ^ ": sequence") expected got;
+      Alcotest.(check int) (label ^ ": trials") trials stats.Compaction.trials;
+      Alcotest.(check int) (label ^ ": accepted") accepted stats.accepted)
+    [ (1, None); (2, Some pool2) ]
+
+let random_seq circuit ~seed ~len =
+  Tseq.random_binary (Bist_util.Rng.create seed)
+    ~width:(Bist_circuit.Netlist.num_inputs circuit)
+    ~length:len
+
+let test_compaction_matches_oracle_synthetics () =
+  for seed = 0 to 24 do
+    let circuit = Testutil.small_circuit (17 * seed) in
+    let universe = Universe.collapsed circuit in
+    let seq = random_seq circuit ~seed:(seed + 1) ~len:(12 + (seed mod 30)) in
+    List.iter
+      (fun initial_block ->
+        check_against_oracle ~label:(Printf.sprintf "synthetic %d" seed)
+          ?initial_block universe seq)
+      [ None; Some 1; Some 3; Some 6 ]
+  done
+
+let test_compaction_matches_oracle_registry () =
+  let rec upto_x1488 = function
+    | [] -> []
+    | (e : Bist_bench.Registry.entry) :: rest ->
+      e :: (if e.name = "x1488" then [] else upto_x1488 rest)
+  in
+  List.iteri
+    (fun i (e : Bist_bench.Registry.entry) ->
+      let circuit = e.circuit () in
+      let universe = Universe.collapsed circuit in
+      let seq = random_seq circuit ~seed:31 ~len:48 in
+      let initial_block = if i mod 2 = 0 then None else Some 5 in
+      check_against_oracle ~label:e.name ?initial_block ~max_trials:30 universe
+        seq)
+    (upto_x1488 (Bist_bench.Registry.all ()))
+
 (* Synth / registry *)
 
 let test_synth_matches_profile () =
@@ -153,6 +253,10 @@ let suite =
       test_compaction_preserves_coverage;
     Alcotest.test_case "compaction budget" `Quick test_compaction_budget;
     test_compaction_idempotent_coverage;
+    Alcotest.test_case "compaction == from-zero oracle (synthetics)" `Quick
+      test_compaction_matches_oracle_synthetics;
+    Alcotest.test_case "compaction == from-zero oracle (registry to x1488)"
+      `Slow test_compaction_matches_oracle_registry;
     Alcotest.test_case "synth matches profile" `Quick test_synth_matches_profile;
     Alcotest.test_case "synth deterministic" `Quick test_synth_deterministic;
     Alcotest.test_case "synth observable" `Quick test_synth_everything_observable;
