@@ -127,8 +127,7 @@ let bench_fsim_serial =
            (fun _ fault -> ignore (Bist_fault.Fsim.detects s27 fault s27_t0))
            s27_universe))
 
-(* Event-driven vs levelized good-machine simulation on a hold-heavy
-   sequence (the event engine's favourable case). *)
+(* Levelized good-machine simulation on a hold-heavy sequence. *)
 let hold_seq =
   lazy
     (let rng = Bist_util.Rng.create 1 in
@@ -141,11 +140,6 @@ let bench_sim_levelized =
     (Staged.stage (fun () ->
          ignore (Bist_sim.Seq_sim.run x298 (Lazy.force hold_seq))))
 
-let bench_sim_event =
-  Test.make ~name:"sim_event_hold_x298"
-    (Staged.stage (fun () ->
-         ignore (Bist_sim.Event_sim.run x298 (Lazy.force hold_seq))))
-
 let all_micro =
   [
     bench_table1; bench_table2; bench_table3; bench_table4_proc1;
@@ -154,7 +148,7 @@ let all_micro =
     bench_ablation_fault_order `Min_udet "ablation_order_min_udet";
     bench_ablation_fault_order `Random "ablation_order_random";
     bench_ablation_omission; bench_ablation_operators; bench_fsim_parallel;
-    bench_fsim_serial; bench_sim_levelized; bench_sim_event;
+    bench_fsim_serial; bench_sim_levelized;
   ]
 
 let run_micro () =

@@ -17,7 +17,7 @@ let () =
   let t0, _ = Bist_tgen.Compaction.compact ~max_trials:200 universe t0_raw in
   let t0_len = Bist_logic.Tseq.length t0 in
   let t0_detected =
-    (Bist_fault.Fsim.run ~stop_when_all_detected:true universe t0)
+    (Bist_fault.Fsim.run universe t0)
       .Bist_fault.Fsim.detected
     |> Bist_util.Bitset.cardinal
   in

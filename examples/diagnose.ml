@@ -43,7 +43,7 @@ let examine name text =
       ~width:(Bist_circuit.Netlist.num_inputs circuit)
       ~length:500
   in
-  let outcome = Bist_fault.Fsim.run ~stop_when_all_detected:true universe seq in
+  let outcome = Bist_fault.Fsim.run universe seq in
   Format.printf "random 500-vector coverage: %d / %d faults@."
     (Bist_util.Bitset.cardinal outcome.Bist_fault.Fsim.detected)
     (Bist_fault.Universe.size universe);

@@ -304,8 +304,7 @@ let exact_prescreen ?(obs = Bist_obs.Obs.null) ?ctl
               ~length:config.refute_length
           in
           let outcome =
-            Bist_fault.Fsim.run ~obs ?ctl ~targets ~stop_when_all_detected:true
-              u seq
+            Bist_fault.Fsim.run ~obs ?ctl ~targets u seq
           in
           Bitset.union_into refuted outcome.Bist_fault.Fsim.detected;
           Bitset.diff_into targets outcome.Bist_fault.Fsim.detected

@@ -17,7 +17,7 @@ let evaluate ?(seed = 0x2A) universe ~cycles ~hold =
   if cycles < 1 || hold < 1 then invalid_arg "Lfsr_bist.evaluate";
   let width = Bist_circuit.Netlist.num_inputs (Bist_fault.Universe.circuit universe) in
   let seq = lfsr_sequence ~seed ~width ~cycles ~hold in
-  let outcome = Bist_fault.Fsim.run ~stop_when_all_detected:true universe seq in
+  let outcome = Bist_fault.Fsim.run universe seq in
   let detected = Bist_util.Bitset.cardinal outcome.Bist_fault.Fsim.detected in
   {
     applied_cycles = cycles;

@@ -42,7 +42,7 @@ let verify_coverage ~operators ~n universe targets seqs =
       if not (Bitset.is_empty remaining) then begin
         let exp = Ops.expand_with ~operators ~n seq in
         let outcome =
-          Fsim.run ~targets:remaining ~stop_when_all_detected:true universe exp
+          Fsim.run ~targets:remaining universe exp
         in
         Bitset.diff_into remaining outcome.Fsim.detected
       end)

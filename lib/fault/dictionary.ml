@@ -13,7 +13,7 @@ let build universe sequences =
   let syndromes = Array.make n 0 in
   List.iteri
     (fun k seq ->
-      let outcome = Fsim.run ~stop_when_all_detected:true universe seq in
+      let outcome = Fsim.run universe seq in
       Bitset.iter
         (fun id -> syndromes.(id) <- syndromes.(id) lor (1 lsl k))
         outcome.Fsim.detected)

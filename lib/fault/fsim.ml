@@ -1,6 +1,5 @@
 module Tseq = Bist_logic.Tseq
 module Bitset = Bist_util.Bitset
-module Packed_sim = Bist_sim.Packed_sim
 module Ppsfp = Bist_sim.Ppsfp
 module Obs = Bist_obs.Obs
 
@@ -10,73 +9,9 @@ type outcome = {
   detected : Bitset.t;
 }
 
-type impl = Impl_ppsfp | Impl_packed
-
-let impl_warned = ref false
-
-let impl_of_env () =
-  match Sys.getenv_opt "BIST_FSIM" with
-  | None | Some "" | Some "ppsfp" -> Impl_ppsfp
-  | Some "packed" -> Impl_packed
-  | Some other ->
-    if not !impl_warned then begin
-      impl_warned := true;
-      Printf.eprintf "bist: ignoring BIST_FSIM=%S (expected \"ppsfp\" or \"packed\")\n%!"
-        other
-    end;
-    Impl_ppsfp
-
 let faults_per_pass = 62 (* 63 lanes minus the fault-free lane 0 *)
 
 let install sim fault ~lane =
-  let mask = 1 lsl lane in
-  match (fault : Fault.t) with
-  | { site = Fault.Output n; stuck } -> Packed_sim.add_output_force sim n ~mask stuck
-  | { site = Fault.Pin { gate; pin }; stuck } ->
-    Packed_sim.add_pin_force sim ~gate ~pin ~mask stuck
-
-(* One sequential pass over a slice of the universe, writing detection
-   times positionally ([det_local.(i)] belongs to fault [ids.(i)]). The
-   simulator instance is created here, inside the worker, so parallel
-   shards never share mutable simulation state. A fault's detection time
-   does not depend on which other faults share its 63-lane pass, so any
-   slicing of the canonical id order yields the same times. *)
-let run_ids_packed ?ctl ~stop_when_all_detected universe seq ids =
-  let circuit = Universe.circuit universe in
-  let k = Array.length ids in
-  let det_local = Array.make k (-1) in
-  let sim = Packed_sim.create circuit in
-  let n_groups = (k + faults_per_pass - 1) / faults_per_pass in
-  for g = 0 to n_groups - 1 do
-    (* Safe point between 62-fault groups: nothing partial is committed,
-       a preempted shard just raises out through the pool. *)
-    Bist_resilience.Ctl.poll ctl;
-    let base = g * faults_per_pass in
-    let group_size = min faults_per_pass (k - base) in
-    Packed_sim.clear_forces sim;
-    Packed_sim.reset sim;
-    for j = 0 to group_size - 1 do
-      install sim (Universe.get universe ids.(base + j)) ~lane:(j + 1)
-    done;
-    (* [live] = lanes of not-yet-detected faults in this group. *)
-    let live = ref (((1 lsl group_size) - 1) lsl 1) in
-    let u = ref 0 in
-    let len = Tseq.length seq in
-    while !u < len && (not stop_when_all_detected || !live <> 0) do
-      Packed_sim.step sim (Tseq.get seq !u);
-      let newly = Packed_sim.po_diff_lanes sim land !live in
-      if newly <> 0 then begin
-        for j = 0 to group_size - 1 do
-          if newly land (1 lsl (j + 1)) <> 0 then det_local.(base + j) <- !u
-        done;
-        live := !live land lnot newly
-      end;
-      incr u
-    done
-  done;
-  det_local
-
-let install_ppsfp sim fault ~lane =
   let mask = 1 lsl lane in
   match (fault : Fault.t) with
   | { site = Fault.Output n; stuck } -> Ppsfp.add_output_force sim n ~mask stuck
@@ -92,21 +27,22 @@ let start_group ?state ?(load = fun _ ~lane:_ _ -> ()) sim universe ids base =
   Ppsfp.clear_forces sim;
   Ppsfp.reset ?state sim;
   for j = 0 to size - 1 do
-    install_ppsfp sim (Universe.get universe ids.(base + j)) ~lane:(j + 1);
+    install sim (Universe.get universe ids.(base + j)) ~lane:(j + 1);
     load sim ~lane:(j + 1) ids.(base + j)
   done;
   (size, ((1 lsl size) - 1) lsl 1)
 
-(* The PPSFP pass, from reset or resumed at step [from] of a
-   materialized [trace] from saved states. Same
-   positional contract as [run_ids_packed] and bit-identical detection
-   times: the fault-free machine comes from a per-worker trace (lane 0
-   of the packed pass is the same machine, so values cannot disagree),
-   a detected fault's lanes are dropped on the spot (its detection time
-   is already fixed, and lanes are independent bitwise, so the remaining
-   lanes are unaffected), and a group ends as soon as all its lanes have
-   been detected — which never changes any recorded time, so
-   [stop_when_all_detected] has nothing left to do here. With
+(* One pass over a slice of the universe, from reset or resumed at step
+   [from] of a materialized [trace] from saved states, writing detection
+   times positionally ([det_local.(i)] belongs to fault [ids.(i)]). The
+   simulator is created here, inside the worker, so parallel shards
+   never share mutable simulation state; a fault's detection time does
+   not depend on which other faults share its group, so any slicing of
+   the canonical id order yields the same times. The fault-free machine
+   comes from a per-worker trace, a detected fault's lanes are dropped
+   on the spot (its detection time is already fixed, and lanes are
+   independent bitwise, so the remaining lanes are unaffected), and a
+   group ends as soon as all its lanes have been detected. With
    [stop_on_miss], the first group ending with a live lane ends the
    pass. Returns the times and the group-steps simulated. *)
 let ppsfp_groups ?ctl ?trace ?(from = 0) ?load ?(stop_on_miss = false) universe seq
@@ -119,6 +55,8 @@ let ppsfp_groups ?ctl ?trace ?(from = 0) ?load ?(stop_on_miss = false) universe 
   let state = if from = 0 || from >= len then None else Some (Ppsfp.trace_state tr from) in
   let steps = ref 0 and missed = ref false and base = ref 0 in
   while !base < k && not !missed do
+    (* Safe point between groups: nothing partial is committed, a
+       preempted shard just raises out through the pool. *)
     Bist_resilience.Ctl.poll ctl;
     let group_size, live0 = start_group ?state ?load sim universe ids !base in
     let live = ref live0 and u = ref from in
@@ -139,13 +77,6 @@ let ppsfp_groups ?ctl ?trace ?(from = 0) ?load ?(stop_on_miss = false) universe 
     base := !base + group_size
   done;
   (det_local, !steps)
-
-let run_ids_ppsfp ?ctl universe seq ids = fst (ppsfp_groups ?ctl universe seq ids)
-
-let run_ids ?ctl ~stop_when_all_detected universe seq ids =
-  match impl_of_env () with
-  | Impl_ppsfp -> run_ids_ppsfp ?ctl universe seq ids
-  | Impl_packed -> run_ids_packed ?ctl ~stop_when_all_detected universe seq ids
 
 (* Shard [target_ids] over the pool ([BIST_JOBS] by default) with one
    ["fsim.shard"] span per shard. The shard closure runs on the pool's
@@ -170,15 +101,14 @@ let sharded ~obs ?pool ?tune universe seq target_ids sim_ids =
   in
   { universe; det_time; detected }
 
-let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets
-    ?(stop_when_all_detected = false) universe seq =
+let run ?(obs = Obs.null) ?pool ?tune ?ctl ?targets universe seq =
   let target_ids =
     match targets with
     | None -> Array.init (Universe.size universe) (fun i -> i)
     | Some set -> Array.of_list (Bitset.elements set)
   in
-  sharded ~obs ?pool ?tune universe seq target_ids
-    (run_ids ?ctl ~stop_when_all_detected universe seq)
+  sharded ~obs ?pool ?tune universe seq target_ids (fun ids ->
+      fst (ppsfp_groups ?ctl universe seq ids))
 
 (* --- prefix checkpoints ------------------------------------------- *)
 
@@ -277,21 +207,25 @@ let coverage outcome =
   float_of_int (Bitset.cardinal outcome.detected)
   /. float_of_int (Universe.size outcome.universe)
 
-type single = { sim : Packed_sim.t }
+type single = { s_sim : Ppsfp.t; mutable s_trace : Ppsfp.trace option }
 
 let single circuit fault =
-  let sim = Packed_sim.create circuit in
-  install sim fault ~lane:1;
-  { sim }
+  let s_sim = Ppsfp.create circuit in
+  install s_sim fault ~lane:1;
+  { s_sim; s_trace = None }
 
+(* Each sequence's trace is built in the storage of the previous one,
+   so one buffer serves every call. *)
 let single_detection_time s seq =
-  Packed_sim.reset s.sim;
+  let tr = Ppsfp.trace ?reuse:s.s_trace s.s_sim seq in
+  s.s_trace <- Some tr;
+  Ppsfp.reset s.s_sim;
   let len = Tseq.length seq in
   let rec go u =
     if u >= len then None
     else begin
-      Packed_sim.step s.sim (Tseq.get seq u);
-      if Packed_sim.po_diff_lanes s.sim <> 0 then Some u else go (u + 1)
+      Ppsfp.step s.s_sim tr u;
+      if Ppsfp.po_diff_lanes s.s_sim <> 0 then Some u else go (u + 1)
     end
   in
   go 0

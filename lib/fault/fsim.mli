@@ -8,14 +8,10 @@
 
     The engine packs the fault-free machine into lane 0 of a 63-lane
     packed word and up to 62 faulty machines into lanes 1..62, so one
-    pass over the sequence simulates a group of 62 faults. The default
-    kernel is the event-driven {!Bist_sim.Ppsfp} core (shared fault-free
-    trace, fault dropping, quiescent levels skipped); exporting
-    [BIST_FSIM=packed] selects the original full-sweep
-    {!Bist_sim.Packed_sim} kernel instead. Both produce bit-identical
-    outcomes — the differential test suite enforces it — so the
-    variable is purely an escape hatch and an A/B lever for
-    benchmarks. *)
+    pass over the sequence simulates a group of 62 faults. Every path
+    here runs on the one kernel, the event-driven {!Bist_sim.Ppsfp}
+    (shared fault-free trace, fault dropping, quiescent levels
+    skipped). *)
 
 type outcome = {
   universe : Universe.t;
@@ -31,14 +27,12 @@ val run :
   ?tune:Bist_parallel.Tune.t ->
   ?ctl:Bist_resilience.Ctl.t ->
   ?targets:Bist_util.Bitset.t ->
-  ?stop_when_all_detected:bool ->
   Universe.t ->
   Bist_logic.Tseq.t ->
   outcome
 (** Simulate every target fault (default: all faults of the universe)
-    under the sequence. With [stop_when_all_detected] (default [false]) a
-    62-fault group stops early once all its targets are detected — use it
-    when only the detected {e set} matters, not detection times.
+    under the sequence. A detected fault is dropped at once, and a
+    62-fault group stops as soon as all its faults are detected.
 
     With [pool] (default: {!Bist_parallel.Pool.from_env}, i.e.
     sequential unless [BIST_JOBS >= 2] is exported) the target faults are
@@ -65,8 +59,7 @@ val run :
     the same vectors. Block-omission compaction tries sequences that
     differ from the current one only from the omission point on: a
     {!pass} saves the states once at the points it will try, and
-    {!resume} simulates only from there. Both always run on the PPSFP
-    kernel, whatever [BIST_FSIM] says. *)
+    {!resume} simulates only from there. *)
 
 type pass
 (** A current sequence with its fault-free trace, and the states of the
@@ -128,7 +121,8 @@ val coverage : outcome -> float
 (** {2 Single-fault fast path}
 
     Procedure 2 simulates one fault under many candidate sequences; this
-    path reuses the compiled simulator across calls. *)
+    path installs the fault in lane 1 once and reuses the compiled
+    simulator and one fault-free trace buffer across calls. *)
 
 type single
 

@@ -56,7 +56,7 @@ let covers universe ~operators ~n sequences targets =
       if not (Bitset.is_empty remaining) then begin
         let exp = Ops.expand_with ~operators ~n s in
         let o =
-          Fsim.run ~targets:remaining ~stop_when_all_detected:true universe exp
+          Fsim.run ~targets:remaining universe exp
         in
         Bitset.diff_into remaining o.Fsim.detected
       end)

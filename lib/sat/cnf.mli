@@ -1,9 +1,10 @@
 (** Shared CNF view of a netlist: dual-rail Tseitin encoding with
     k-frame time-frame expansion from the all-X reset state.
 
-    The encoding mirrors {!Bist_sim.Packed_sim}'s two planes exactly —
-    each line at each frame is a pair of rails [(one, zero)], both
-    false meaning X — so SAT/UNSAT verdicts agree with
+    The encoding mirrors the two planes of the fault kernel
+    {!Bist_sim.Ppsfp} and the scalar semantics of {!Bist_sim.Seq_sim}
+    exactly — each line at each frame is a pair of rails [(one, zero)],
+    both false meaning X — so SAT/UNSAT verdicts agree with
     {!Bist_fault.Fsim} on every input sequence of length [<= frames].
     Primary inputs are constrained binary, which is complete by
     ternary monotonicity (an X in a detecting sequence can always be

@@ -7,7 +7,7 @@
    unreachable within the bound — then under the detection selector —
    UNSAT proves propagation blocked, a model decodes into an input
    sequence. Every decoded test is validated (and trimmed to its first
-   detection) against the packed fault simulator before being
+   detection) against the fault simulator before being
    returned; a model that fails simulation would mean the encoding and
    the simulator disagree, which [Error_kind] surfaces loudly instead
    of silently dropping coverage. *)

@@ -3,14 +3,13 @@ module Tseq = Bist_logic.Tseq
 module Netlist = Bist_circuit.Netlist
 module Gate = Bist_circuit.Gate
 
-(* The kernel works on the same two-plane packed encoding as Packed_sim:
-   ones/zeros ints, one lane per bit, lane 0 = fault-free machine. The
-   difference is what gets evaluated. The fault-free machine is simulated
-   once per sequence into a byte-per-node-per-step trace; a group pass
-   then evaluates a gate only when one of its fanins' packed words
-   actually differs from the fault-free broadcast (or the gate carries a
-   force). A node without a current-step value stamp implicitly holds the
-   broadcast of its trace byte.
+(* The kernel works on a two-plane packed encoding: ones/zeros ints,
+   one lane per bit, lane 0 = fault-free machine. The fault-free machine
+   is simulated once per sequence into a byte-per-node-per-step trace; a
+   group pass then evaluates a gate only when one of its fanins' packed
+   words actually differs from the fault-free broadcast (or the gate
+   carries a force). A node without a current-step value stamp
+   implicitly holds the broadcast of its trace byte.
 
    "Differs from fault-free" is checked against lane 0 of the word
    itself: lane 0 is never forced, so a word is clean iff every lane
@@ -96,41 +95,54 @@ let create circuit =
   let n = Netlist.size circuit in
   let levels = Bist_circuit.Stats.levels circuit in
   let max_level = Array.fold_left max 0 levels in
-  let csr fanins_of =
+  (* Compressed adjacency of the [keep] members of every node's list. *)
+  let csr adj keep =
     let off = Array.make n 0 in
     let len = Array.make n 0 in
     let total = ref 0 in
     for node = 0 to n - 1 do
-      len.(node) <- Array.length (fanins_of node);
+      let a = adj node in
+      for j = 0 to Array.length a - 1 do
+        if keep a.(j) then len.(node) <- len.(node) + 1
+      done;
+      off.(node) <- !total;
       total := !total + len.(node)
     done;
     let dat = Array.make (max 1 !total) 0 in
-    let pos = ref 0 in
     for node = 0 to n - 1 do
-      off.(node) <- !pos;
-      Array.iter
-        (fun d ->
-          dat.(!pos) <- d;
-          incr pos)
-        (fanins_of node)
+      let a = adj node and pos = ref off.(node) in
+      for j = 0 to Array.length a - 1 do
+        if keep a.(j) then begin
+          dat.(!pos) <- a.(j);
+          incr pos
+        end
+      done
     done;
     (off, len, dat)
   in
-  let nfan_off, nfan_len, nfan = csr (fun node -> Netlist.fanins circuit node) in
+  let nfan_off, nfan_len, nfan = csr (Netlist.fanins circuit) (fun _ -> true) in
   let comb node = Gate.is_combinational (Netlist.kind circuit node) in
-  let nfo_off, nfo_len, nfo =
-    csr (fun node ->
-        Array.of_list
-          (List.filter comb (Array.to_list (Netlist.fanouts circuit node))))
-  in
-  (* Sort the topological order by level so the full sweep and the event
-     sweep agree on evaluation order (both are valid topological orders;
-     values are order-independent, this is just cache-friendlier). *)
-  let topo = Array.copy (Netlist.topo_order circuit) in
-  let cmp a b = compare (levels.(a), a) (levels.(b), b) in
-  Array.sort cmp topo;
+  let nfo_off, nfo_len, nfo = csr (Netlist.fanouts circuit) comb in
+  (* The combinational nodes by level, ties by id, so the full sweep and
+     the event sweep agree on evaluation order (both are valid
+     topological orders; values are order-independent, this is just
+     cache-friendlier). A counting sort over the ids, in id order. *)
   let per_level = Array.make (max_level + 1) 0 in
-  Array.iter (fun g -> per_level.(levels.(g)) <- per_level.(levels.(g)) + 1) topo;
+  for node = 0 to n - 1 do
+    if comb node then per_level.(levels.(node)) <- per_level.(levels.(node)) + 1
+  done;
+  let next = Array.make (max_level + 1) 0 in
+  for lv = 1 to max_level do
+    next.(lv) <- next.(lv - 1) + per_level.(lv - 1)
+  done;
+  let topo = Array.make (Array.length (Netlist.topo_order circuit)) 0 in
+  for node = 0 to n - 1 do
+    if comb node then begin
+      let lv = levels.(node) in
+      topo.(next.(lv)) <- node;
+      next.(lv) <- next.(lv) + 1
+    end
+  done;
   let dffs = Netlist.dffs circuit in
   {
     circuit;
@@ -216,22 +228,38 @@ let check_state t st =
     invalid_arg "Ppsfp: state width differs from the flip-flop count";
   Bytes.iter (fun c -> if Char.code c > 2 then invalid_arg "Ppsfp: bad state code") st
 
-let trace t seq = {
-  tr_circuit = t.circuit;
-  seq;
-  tr_n = t.n;
-  data = Bytes.make (t.n * min (max 1 (Tseq.length seq)) 64) '\000';
-  upto = 0;
-  g_state = Array.make (Array.length t.dff_nodes) 0;
-  g_topo = t.topo;
-  g_kind = t.nkind;
-  g_off = t.nfan_off;
-  g_len = t.nfan_len;
-  g_fan = t.nfan;
-  g_pis = t.pis;
-  g_dffs = t.dff_nodes;
-  g_dff_d = t.dff_d;
-}
+(* Every step writes every node's byte, so reused storage needs no
+   clearing. *)
+let trace ?reuse ?state t seq =
+  let size = t.n * min (max 1 (Tseq.length seq)) 64 in
+  let data =
+    match reuse with
+    | Some r when Bytes.length r.data >= size -> r.data
+    | _ -> Bytes.make size '\000'
+  in
+  let g_state =
+    match state with
+    | None -> Array.make (Array.length t.dff_nodes) 0
+    | Some st ->
+      check_state t st;
+      Array.init (Bytes.length st) (fun i -> Char.code (Bytes.get st i))
+  in
+  {
+    tr_circuit = t.circuit;
+    seq;
+    tr_n = t.n;
+    data;
+    upto = 0;
+    g_state;
+    g_topo = t.topo;
+    g_kind = t.nkind;
+    g_off = t.nfan_off;
+    g_len = t.nfan_len;
+    g_fan = t.nfan;
+    g_pis = t.pis;
+    g_dffs = t.dff_nodes;
+    g_dff_d = t.dff_d;
+  }
 
 let trace_length tr = tr.upto
 let trace_sequence tr = tr.seq
@@ -320,6 +348,13 @@ let trace_state tr u =
   let base = u * tr.tr_n in
   Bytes.init (Array.length tr.g_dffs) (fun i ->
       Bytes.get tr.data (base + tr.g_dffs.(i)))
+
+let trace_value tr u node =
+  trace_ensure tr u;
+  match Char.code (Bytes.get tr.data ((u * tr.tr_n) + node)) with
+  | 1 -> T.One
+  | 2 -> T.Zero
+  | _ -> T.X
 
 (* Steps before [at] are the same machine on the same vectors. From
    [at] on, the spliced machine sees the vectors [tr] sees from

@@ -1,9 +1,15 @@
-(** PPSFP: parallel-pattern single-fault-propagation packed fault kernel.
+(** PPSFP: parallel-pattern single-fault-propagation packed fault kernel,
+    the library's only fault simulator.
 
-    Same 63-lane packed semantics as {!Packed_sim} — lane 0 is the
-    fault-free machine, lanes 1..62 are faulty machines selected by force
-    masks — but built for throughput when many 62-fault groups are
-    simulated over the same sequence:
+    Each of the 63 lanes of a packed word is an independent copy of the
+    circuit receiving the {e same} input vectors. Lane 0 is the fault-free
+    machine; lanes 1..62 are faulty machines that differ from it only
+    through forces: an {e output force} pins a node's value as every
+    consumer and primary output sees it, a {e pin force} pins the value
+    one fanin pin of one gate sees (a fanout-branch stuck-at). Values are
+    two planes (ones, zeros) per node, X being neither. The kernel is
+    built for throughput when many 62-fault groups are simulated over the
+    same sequence:
 
     - the {e good machine} is simulated once per sequence into a shared
       {!trace}; every group pass reads good values out of the trace
@@ -13,15 +19,16 @@
       differs from the fault-free broadcast, so quiescent levels cost
       nothing;
     - when measured activity says most of the circuit is live anyway, the
-      step switches to a {e compiled} full sweep (the {!Packed_sim}
-      regime) and back once activity decays — the hybrid is
-      self-tuning per group;
+      step switches to a {e compiled} full sweep and back once activity
+      decays — the hybrid is self-tuning per group;
     - {!drop_lanes} retires detected faults mid-sequence: their forces
       are masked out and their flip-flop lanes snap back to the good
       machine, so a detected fault stops generating events.
 
-    Every step produces bit-identical planes to {!Packed_sim} on the same
-    forces and inputs; the differential-oracle suite enforces this. *)
+    The independent oracle is the scalar {!Seq_sim} run on a netlist
+    with the fault compiled into its structure; the differential suite
+    checks the kernel's detection times against it, and the trace
+    against {!Seq_sim}'s fault-free values. *)
 
 type t
 
@@ -37,8 +44,12 @@ type trace
     over the same circuit — but only within one domain: growth is not
     synchronized. *)
 
-val trace : t -> Bist_logic.Tseq.t -> trace
-(** A fresh (empty) trace of [seq] for this simulator's circuit. *)
+val trace : ?reuse:trace -> ?state:Bytes.t -> t -> Bist_logic.Tseq.t -> trace
+(** A fresh (empty) trace of [seq] for this simulator's circuit. Step 0
+    starts from the fault-free flip-flop state [state] (default: all X;
+    a state is coded as in {!trace_state}); a group stepping such a
+    trace starts from {!reset} [~state]. [reuse] offers the storage of a
+    trace that is not read again (it is used when large enough). *)
 
 val trace_length : trace -> int
 (** Steps materialized so far. *)
@@ -52,6 +63,12 @@ val trace_state : trace -> int -> Bytes.t
     [Invalid_argument] if [u] is beyond the sequence. Flip-flop states
     are one byte per flip-flop in [Netlist.dffs] order, coded 0 = X,
     1 = One, 2 = Zero. *)
+
+val trace_value : trace -> int -> Bist_circuit.Netlist.node -> Bist_logic.Ternary.t
+(** [trace_value tr u node] is the fault-free value of [node] during
+    time step [u] (materializing the trace that far); a flip-flop node
+    reports its present state. Raises [Invalid_argument] if [u] is
+    beyond the sequence. *)
 
 val splice : ?reuse:trace -> trace -> at:int -> omit:int -> trace
 (** [splice tr ~at ~omit] is the fully materialized trace of [tr]'s

@@ -65,8 +65,7 @@ let compact ?initial_block ?(max_trials = max_int) ?(obs = Obs.null) ?pool ?ctl
   in
   let baseline ?targets () =
     Obs.span obs ~cat:"compaction" "compaction.baseline" (fun () ->
-        Fsim.run ~obs ?pool ?ctl ?targets ~stop_when_all_detected:true universe
-          !current)
+        Fsim.run ~obs ?pool ?ctl ?targets universe !current)
   in
   (* [det] holds the current sequence's detection time of every
      must-detect fault. It is derived data: a resumed run recomputes it

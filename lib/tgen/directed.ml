@@ -2,7 +2,7 @@ module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
 module Rng = Bist_util.Rng
-module Packed_sim = Bist_sim.Packed_sim
+module Ppsfp = Bist_sim.Ppsfp
 module Netlist = Bist_circuit.Netlist
 
 type config = {
@@ -30,20 +30,31 @@ let excitation_node (fault : Bist_fault.Fault.t) circuit =
   | Bist_fault.Fault.Output n -> n
   | Bist_fault.Fault.Pin { gate; pin } -> (Netlist.fanins circuit gate).(pin)
 
-(* Fitness of [segment] applied after the snapshot state. *)
-let fitness sim ~snapshot ~site ~stuck segment =
-  Packed_sim.restore_state sim snapshot;
+(* Flip-flops where the two states hold opposite binary values. *)
+let divergence a b =
+  let d = ref 0 in
+  Bytes.iteri (fun i c -> if Char.code c lxor Char.code (Bytes.get b i) = 3 then incr d) a;
+  !d
+
+(* Fitness of [segment] applied after the prefix, whose end states are
+   [good] (fault-free) and [bad] (the fault in lane 1). The segment's
+   fault-free trace is built in the storage of the last one. *)
+let fitness sim ~spare ~good ~bad ~site ~stuck segment =
+  let tr = Ppsfp.trace ~reuse:!spare ~state:good sim segment in
+  spare := tr;
+  Ppsfp.reset ~state:good sim;
+  Ppsfp.load_lane sim ~lane:1 bad;
   let excitations = ref 0 in
   let max_state_div = ref 0 in
   let detected_at = ref (-1) in
   let len = Tseq.length segment in
   let u = ref 0 in
   while !detected_at < 0 && !u < len do
-    Packed_sim.step sim (Tseq.get segment !u);
-    if Packed_sim.po_diff_lanes sim land 0b10 <> 0 then detected_at := !u;
-    let good = Bist_logic.Packed.get (Packed_sim.node_value sim site) 0 in
+    Ppsfp.step sim tr !u;
+    if Ppsfp.po_diff_lanes sim <> 0 then detected_at := !u;
+    let good = Ppsfp.trace_value tr !u site in
     if T.is_binary good && not (T.equal good stuck) then incr excitations;
-    let div = Packed_sim.state_diff_count sim ~lane:1 in
+    let div = divergence (Ppsfp.lane_state sim ~lane:0) (Ppsfp.lane_state sim ~lane:1) in
     if div > !max_state_div then max_state_div := div;
     incr u
   done;
@@ -79,21 +90,25 @@ let crossover rng a b =
 
 let search ?(config = default_config) ~rng ~prefix circuit fault =
   let width = Netlist.num_inputs circuit in
-  let sim = Packed_sim.create circuit in
+  let sim = Ppsfp.create circuit in
   (match (fault : Bist_fault.Fault.t) with
    | { site = Bist_fault.Fault.Output n; stuck } ->
-     Packed_sim.add_output_force sim n ~mask:0b10 stuck
+     Ppsfp.add_output_force sim n ~mask:0b10 stuck
    | { site = Bist_fault.Fault.Pin { gate; pin }; stuck } ->
-     Packed_sim.add_pin_force sim ~gate ~pin ~mask:0b10 stuck);
-  Packed_sim.reset sim;
-  Tseq.iter (fun v -> Packed_sim.step sim v) prefix;
-  let snapshot = Packed_sim.save_state sim in
+     Ppsfp.add_pin_force sim ~gate ~pin ~mask:0b10 stuck);
+  (* Simulate the prefix once; every candidate starts from its end. *)
+  let spare = ref (Ppsfp.trace sim prefix) in
+  Ppsfp.reset sim;
+  for u = 0 to Tseq.length prefix - 1 do
+    Ppsfp.step sim !spare u
+  done;
+  let good = Ppsfp.lane_state sim ~lane:0 and bad = Ppsfp.lane_state sim ~lane:1 in
   let site = excitation_node fault circuit in
   let stuck = fault.Bist_fault.Fault.stuck in
   let evaluations = ref 0 in
   let eval segment =
     incr evaluations;
-    fitness sim ~snapshot ~site ~stuck segment
+    fitness sim ~spare ~good ~bad ~site ~stuck segment
   in
   let population =
     ref

@@ -24,39 +24,6 @@ let test_gate_arity () =
   Alcotest.(check bool) "and takes 4" true (Gate.arity_ok Gate.And 4);
   Alcotest.(check bool) "dff takes 1" true (Gate.arity_ok Gate.Dff 1)
 
-(* eval and eval_packed must agree on every lane. *)
-let test_gate_eval_consistency =
-  let kinds = [ Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ] in
-  let gen =
-    QCheck.Gen.(
-      oneofl kinds >>= fun kind ->
-      (if Gate.arity_ok kind 1 then return 1 else int_range 2 4) >>= fun k ->
-      list_size (return k) (list_size (return 8) Testutil.ternary_gen) >>= fun inputs ->
-      return (kind, inputs))
-  in
-  Testutil.qcheck
-    (QCheck.Test.make ~name:"Gate.eval_packed agrees with Gate.eval" ~count:300
-       (QCheck.make gen)
-       (fun (kind, inputs) ->
-         let packed =
-           Array.of_list
-             (List.map
-                (fun lanes ->
-                  List.fold_left
-                    (fun (w, i) v -> (Bist_logic.Packed.set w i v, i + 1))
-                    (Bist_logic.Packed.all_x, 0) lanes
-                  |> fst)
-                inputs)
-         in
-         let word = Gate.eval_packed kind packed in
-         List.for_all
-           (fun lane ->
-             let scalar =
-               Gate.eval kind (Array.of_list (List.map (fun l -> List.nth l lane) inputs))
-             in
-             T.equal scalar (Bist_logic.Packed.get word lane))
-           (List.init 8 Fun.id)))
-
 let test_gate_names () =
   Alcotest.(check (option bool)) "BUFF accepted" (Some true)
     (Option.map (fun k -> k = Gate.Buf) (Gate.kind_of_name "BUFF"));
@@ -389,7 +356,6 @@ let suite =
   [
     Alcotest.test_case "gate eval" `Quick test_gate_eval;
     Alcotest.test_case "gate arity" `Quick test_gate_arity;
-    test_gate_eval_consistency;
     Alcotest.test_case "gate names" `Quick test_gate_names;
     Alcotest.test_case "parse s27" `Quick test_parse_s27;
     Alcotest.test_case "writer roundtrip" `Quick test_parse_roundtrip;

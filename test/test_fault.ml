@@ -78,18 +78,37 @@ let test_argmax_udet () =
   | Some id ->
     Alcotest.(check (option int)) "udet = 9" (Some 9) (Fault_table.udet table id)
 
+(* One single-fault simulator per fault is reused over sequences that
+   grow and shrink, so its trace buffer is reused, outgrown and
+   oversized; every answer must match the parallel table and the
+   Seq_sim mutant oracle. *)
 let test_serial_matches_parallel () =
-  let outcome = Fsim.run s27_universe s27_t0 in
+  let last = Tseq.length s27_t0 - 1 in
+  let seqs =
+    [ Tseq.sub s27_t0 ~lo:0 ~hi:2;
+      s27_t0;
+      Tseq.random_binary (Bist_util.Rng.create 9)
+        ~width:(Bist_circuit.Netlist.num_inputs s27) ~length:80;
+      Tseq.sub s27_t0 ~lo:3 ~hi:last ]
+  in
+  let tables =
+    List.map
+      (fun seq ->
+        (seq, (Fsim.run s27_universe seq).Fsim.det_time,
+         Testutil.mutant_det_times s27_universe seq))
+      seqs
+  in
   Universe.iter
     (fun id fault ->
       let serial = Fsim.single s27 fault in
-      let expected =
-        if outcome.Fsim.det_time.(id) >= 0 then Some outcome.Fsim.det_time.(id)
-        else None
-      in
-      Alcotest.(check (option int))
-        (Fault.name s27 fault) expected
-        (Fsim.single_detection_time serial s27_t0))
+      List.iteri
+        (fun i (seq, table, oracle) ->
+          let label = Printf.sprintf "%s, sequence %d" (Fault.name s27 fault) i in
+          Alcotest.(check int) (label ^ ": table == oracle") oracle.(id) table.(id);
+          Alcotest.(check (option int)) label
+            (if table.(id) >= 0 then Some table.(id) else None)
+            (Fsim.single_detection_time serial seq))
+        tables)
     s27_universe
 
 (* The same differential on random circuits. *)

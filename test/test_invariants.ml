@@ -7,7 +7,7 @@ module Bitset = Bist_util.Bitset
 module Universe = Bist_fault.Universe
 module Fsim = Bist_fault.Fsim
 module Ops = Bist_core.Ops
-module Packed_sim = Bist_sim.Packed_sim
+module Ppsfp = Bist_sim.Ppsfp
 
 (* THE lemma: an expanded sequence detects everything its stored seed
    detects (because the seed is a prefix and detection is monotone under
@@ -85,37 +85,52 @@ let test_windows_inside_t0 () =
         (Tseq.length sel.seq <= o.window_length))
     result.Bist_core.Procedure1.selected
 
-(* Packed_sim snapshots: branching two different suffixes off one prefix
-   gives the same results as simulating each full sequence. *)
+(* Ppsfp state branching: two different suffixes started from one
+   prefix's saved state give the same results as simulating each full
+   sequence. *)
 let test_snapshot_restore () =
   let circuit = Bist_bench.Teaching.counter3 () in
-  let sim = Packed_sim.create circuit in
-  let v s = Bist_logic.Vector.of_string s in
-  Packed_sim.step sim (v "10");
-  Packed_sim.step sim (v "01");
-  let snap = Packed_sim.save_state sim in
-  Packed_sim.step sim (v "01");
-  let after_a = Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0 in
-  Packed_sim.restore_state sim snap;
-  Packed_sim.step sim (v "01");
-  let after_a' = Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0 in
-  Alcotest.check Testutil.ternary_testable "branch replays" after_a after_a';
-  Packed_sim.restore_state sim snap;
-  Packed_sim.step sim (v "00");
+  let sim = Ppsfp.create circuit in
+  let q0 = (Bist_circuit.Netlist.outputs circuit).(0) in
+  let prefix = Tseq.of_strings [ "10"; "01" ] in
+  let tr = Ppsfp.trace sim prefix in
+  Ppsfp.reset sim;
+  Ppsfp.step sim tr 0;
+  Ppsfp.step sim tr 1;
+  let snap = Ppsfp.lane_state sim ~lane:0 in
+  (* q0 during the one step of [suffix] played from the saved state. *)
+  let branch suffix =
+    Ppsfp.trace_value (Ppsfp.trace ~state:snap sim (Tseq.of_strings [ suffix ])) 0 q0
+  in
+  let whole suffix =
+    let tr = Ppsfp.trace sim (Tseq.of_strings [ "10"; "01"; suffix ]) in
+    Ppsfp.trace_value tr 2 q0
+  in
+  let after_a = branch "01" in
+  Alcotest.check Testutil.ternary_testable "branch == whole sequence" (whole "01") after_a;
+  Alcotest.check Testutil.ternary_testable "branch replays" after_a (branch "01");
   (* en=0 holds: q0 still 1 from the count step *)
-  Alcotest.check Testutil.ternary_testable "other branch differs" T.One
-    (Bist_logic.Packed.get (Packed_sim.po_value sim 0) 0)
+  Alcotest.check Testutil.ternary_testable "other branch differs" T.One (branch "00");
+  Alcotest.check Testutil.ternary_testable "other branch == whole sequence" (whole "00")
+    (branch "00")
 
 let test_state_diff_count () =
   let circuit = Bist_bench.Teaching.shift4 () in
-  let sim = Packed_sim.create circuit in
+  let sim = Ppsfp.create circuit in
   let q0 = Bist_circuit.Netlist.find_exn circuit "q0" in
-  Packed_sim.add_output_force sim q0 ~mask:0b10 T.One;
-  Packed_sim.step sim (Bist_logic.Vector.of_string "0");
-  Packed_sim.step sim (Bist_logic.Vector.of_string "0");
-  (* lane1 has q0 forced to 1 and q1 latched 1 vs good 0/0 *)
-  Alcotest.(check bool) "some divergence" true
-    (Packed_sim.state_diff_count sim ~lane:1 >= 1)
+  Ppsfp.add_output_force sim q0 ~mask:0b10 T.One;
+  let seq = Tseq.of_strings [ "0"; "0" ] in
+  let tr = Ppsfp.trace sim seq in
+  Ppsfp.reset sim;
+  Ppsfp.step sim tr 0;
+  Ppsfp.step sim tr 1;
+  (* lane1 has q0 forced to 1, so q1 latched 1 vs good 0 *)
+  let good = Ppsfp.lane_state sim ~lane:0 and bad = Ppsfp.lane_state sim ~lane:1 in
+  let opposite = ref 0 in
+  Bytes.iteri
+    (fun i c -> if Char.code c lxor Char.code (Bytes.get bad i) = 3 then incr opposite)
+    good;
+  Alcotest.(check bool) "some divergence" true (!opposite >= 1)
 
 (* Controller misuse is rejected. *)
 let test_controller_finished_error () =

@@ -1,7 +1,6 @@
-(* Suites for Bist_logic: Ternary, Packed, Vector, Tseq. *)
+(* Suites for Bist_logic: Ternary, Vector, Tseq. *)
 
 module T = Bist_logic.Ternary
-module P = Bist_logic.Packed
 module Vector = Bist_logic.Vector
 module Tseq = Bist_logic.Tseq
 
@@ -72,56 +71,6 @@ let test_ternary_chars () =
     all3;
   Alcotest.check_raises "bad char" (Invalid_argument "Ternary.of_char: '2'")
     (fun () -> ignore (T.of_char '2'))
-
-(* Packed words must agree lane-wise with the scalar connectives. *)
-let test_packed_matches_scalar =
-  let gen = QCheck.Gen.(pair (list_size (return P.lanes) Testutil.ternary_gen)
-                          (list_size (return P.lanes) Testutil.ternary_gen)) in
-  let arb = QCheck.make gen in
-  Testutil.qcheck
-    (QCheck.Test.make ~name:"Packed ops match Ternary lane-wise" ~count:200 arb
-       (fun (la, lb) ->
-         let pack l = List.fold_left (fun (w, i) v -> (P.set w i v, i + 1)) (P.all_x, 0) l |> fst in
-         let wa = pack la and wb = pack lb in
-         let ops =
-           [ (P.and_, T.and_); (P.or_, T.or_); (P.xor, T.xor);
-             (P.nand, T.nand); (P.nor, T.nor); (P.xnor, T.xnor) ]
-         in
-         List.for_all
-           (fun (pop, top) ->
-             let w = pop wa wb in
-             List.for_all2
-               (fun i (a, b) -> T.equal (P.get w i) (top a b))
-               (List.init P.lanes Fun.id)
-               (List.combine la lb))
-           ops
-         && List.for_all
-              (fun i -> T.equal (P.get (P.not_ wa) i) (T.not_ (P.get wa i)))
-              (List.init P.lanes Fun.id)))
-
-let test_packed_set_get () =
-  let w = P.all T.X in
-  let w = P.set w 5 T.One in
-  let w = P.set w 17 T.Zero in
-  Alcotest.check Testutil.ternary_testable "lane 5" T.One (P.get w 5);
-  Alcotest.check Testutil.ternary_testable "lane 17" T.Zero (P.get w 17);
-  Alcotest.check Testutil.ternary_testable "lane 0 untouched" T.X (P.get w 0);
-  let w = P.set w 5 T.X in
-  Alcotest.check Testutil.ternary_testable "cleared" T.X (P.get w 5)
-
-let test_packed_force_and_diff () =
-  let good = P.all T.One in
-  let faulty = P.force good ~mask:0b100 T.Zero in
-  Alcotest.(check int) "diff lane 2" 0b100 (P.diff_mask good faulty);
-  let faulty_x = P.force good ~mask:0b1000 T.X in
-  Alcotest.(check int) "X never diffs" 0 (P.diff_mask good faulty_x);
-  Alcotest.(check int) "binary mask drops X lane" (-1 land lnot 0b1000)
-    (P.binary_mask faulty_x)
-
-let test_packed_invariant () =
-  Alcotest.check_raises "overlapping planes"
-    (Invalid_argument "Packed.make: ones and zeros overlap") (fun () ->
-      ignore (P.make ~ones:1 ~zeros:1))
 
 (* Vector *)
 
@@ -203,10 +152,6 @@ let suite =
     Alcotest.test_case "ternary monotone" `Quick test_ternary_monotone;
     Alcotest.test_case "ternary conflicts" `Quick test_ternary_conflicts;
     Alcotest.test_case "ternary chars" `Quick test_ternary_chars;
-    test_packed_matches_scalar;
-    Alcotest.test_case "packed set/get" `Quick test_packed_set_get;
-    Alcotest.test_case "packed force/diff" `Quick test_packed_force_and_diff;
-    Alcotest.test_case "packed invariant" `Quick test_packed_invariant;
     test_vector_roundtrip;
     Alcotest.test_case "vector shift" `Quick test_vector_shift;
     Alcotest.test_case "vector shift period" `Quick test_vector_shift_order;

@@ -1,9 +1,9 @@
 (* Suites for Bist_parallel: the domain pool's chunking, exception and
    reuse behaviour; the determinism contract of the sharded fault
    simulator (parallel table == sequential table, bit for bit); the
-   Packed_sim / Event_sim cross-check that pins the kernel every shard
-   replicates; and the Rng-splitting protocol for randomness that crosses
-   a domain boundary. *)
+   Ppsfp trace / Seq_sim cross-check that pins the fault-free machine
+   every shard replicates; and the Rng-splitting protocol for randomness
+   that crosses a domain boundary. *)
 
 module Pool = Bist_parallel.Pool
 module Shard = Bist_parallel.Shard
@@ -243,31 +243,27 @@ let test_campaign_parallel_identical () =
   Alcotest.(check bool) "trial-by-trial identical" true
     (sequential.trials = parallel.trials)
 
-(* Packed_sim vs Event_sim: the kernel each shard replicates, pinned
-   against the second reference simulator (Seq_sim is covered in
-   test_sim.ml). *)
+(* The fault-free machine each shard replicates: the flip-flop state a
+   Ppsfp trace records entering every step equals Seq_sim's (the
+   scalar reference; its outputs are covered in test_sim.ml). *)
 
-let packed_lane0_matches_event_sim circuit seq =
-  let expected = Bist_sim.Event_sim.run circuit seq in
-  let packed = Bist_sim.Packed_sim.create circuit in
+let trace_state_matches_seq_sim circuit seq =
+  let sim = Bist_sim.Ppsfp.create circuit in
+  let tr = Bist_sim.Ppsfp.trace sim seq in
+  let scalar = Bist_sim.Seq_sim.create circuit in
+  let code = function T.One -> '\001' | T.Zero -> '\002' | T.X -> '\000' in
   let ok = ref true in
   Tseq.iteri
     (fun u vec ->
-      Bist_sim.Packed_sim.step packed vec;
-      Array.iteri
-        (fun i _ ->
-          let got =
-            Bist_logic.Packed.get (Bist_sim.Packed_sim.po_value packed i) 0
-          in
-          if not (T.equal got (Bist_logic.Vector.get expected.(u) i)) then
-            ok := false)
-        (Netlist.outputs circuit))
+      let expected = Bytes.of_seq (Seq.map code (Array.to_seq (Bist_sim.Seq_sim.ff_state scalar))) in
+      if not (Bytes.equal expected (Bist_sim.Ppsfp.trace_state tr u)) then ok := false;
+      ignore (Bist_sim.Seq_sim.step scalar vec))
     seq;
   !ok
 
-let test_packed_vs_event_random =
+let test_trace_vs_seq_sim_random =
   Testutil.qcheck
-    (QCheck.Test.make ~name:"Packed_sim lane 0 == Event_sim" ~count:60
+    (QCheck.Test.make ~name:"Ppsfp trace state == Seq_sim" ~count:60
        Testutil.circuit_and_seq
        (fun (cseed, sseed, len) ->
          let circuit = Testutil.small_circuit cseed in
@@ -275,15 +271,17 @@ let test_packed_vs_event_random =
          let seq =
            Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:len
          in
-         packed_lane0_matches_event_sim circuit seq))
+         trace_state_matches_seq_sim circuit seq))
 
-let test_packed_vs_event_registry_and_teaching () =
+let test_trace_vs_seq_sim_registry_and_teaching () =
   let circuits =
     [
       Bist_bench.S27.circuit ();
       Bist_bench.Teaching.counter3 ();
       Bist_bench.Teaching.shift4 ();
       Bist_bench.Teaching.parity_fsm ();
+      Bist_bench.Teaching.gray3 ();
+      Bist_bench.Teaching.johnson4 ();
       (Option.get (Bist_bench.Registry.find "x298")).circuit ();
     ]
   in
@@ -294,9 +292,9 @@ let test_packed_vs_event_registry_and_teaching () =
         Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:48
       in
       Alcotest.(check bool)
-        (Netlist.circuit_name circuit ^ " lane 0 == Event_sim")
+        (Netlist.circuit_name circuit ^ " trace state == Seq_sim")
         true
-        (packed_lane0_matches_event_sim circuit seq))
+        (trace_state_matches_seq_sim circuit seq))
     circuits
 
 (* The sequential/parallel crossover policy (Tune) *)
@@ -383,7 +381,7 @@ let suite =
     Alcotest.test_case "fsim targets with pool" `Quick test_fsim_targets_with_pool;
     Alcotest.test_case "campaign parallel identical" `Slow
       test_campaign_parallel_identical;
-    test_packed_vs_event_random;
-    Alcotest.test_case "packed vs event on known circuits" `Quick
-      test_packed_vs_event_registry_and_teaching;
+    test_trace_vs_seq_sim_random;
+    Alcotest.test_case "trace vs Seq_sim on known circuits" `Quick
+      test_trace_vs_seq_sim_registry_and_teaching;
   ]

@@ -1,28 +1,26 @@
-(* Differential-oracle suite for the PPSFP fault-simulation core.
+(* Differential-oracle suite for the PPSFP fault-simulation kernel.
 
-   Three independent implementations must produce the same fault table:
+   {!Bist_sim.Ppsfp} (shared fault-free trace, event-driven levelized
+   evaluation, fault dropping) is the library's only fault simulator. Its
+   fault tables are checked against an independent scalar oracle:
+   {!Bist_sim.Seq_sim} on a mutated netlist, where each fault is compiled
+   into the circuit structurally (stem stuck-at becomes a constant
+   driver, a fanout-branch stuck-at rewires one consumer pin to a
+   constant node) and the primary outputs are compared against the
+   fault-free run ({!Testutil.mutant_det_times}).
 
-   - {!Bist_sim.Ppsfp} (the default kernel: shared fault-free trace,
-     event-driven levelized evaluation, fault dropping);
-   - {!Bist_sim.Packed_sim} (the original full-sweep packed kernel,
-     selected with BIST_FSIM=packed);
-   - {!Bist_sim.Event_sim} on a mutated netlist: each fault is compiled
-     into the circuit structurally (stem stuck-at becomes a constant
-     driver, a fanout-branch stuck-at rewires one consumer pin to a
-     constant node) and the scalar simulator's primary outputs are
-     compared against the fault-free run.
-
-   The first two run over the whole universe at several pool widths and
-   on both sides of the sharding crossover; the third is scalar and
-   per-fault, so it covers s27 and a band of small synthetics. *)
+   The oracle is scalar and per-fault, so it covers s27, the seeded
+   synthetics and random circuits over the whole universe, and a
+   deterministic stride of every registry circuit. The registry's whole
+   tables are pinned by CRC-32, recorded when the suite still asserted
+   them equal to a second, full-sweep packed kernel. Every table is
+   checked at several pool widths and on both sides of the sharding
+   crossover. *)
 
 module Tseq = Bist_logic.Tseq
-module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
 module Rng = Bist_util.Rng
 module Netlist = Bist_circuit.Netlist
-module Gate = Bist_circuit.Gate
-module Builder = Bist_circuit.Builder
 module Universe = Bist_fault.Universe
 module Fault = Bist_fault.Fault
 module Fsim = Bist_fault.Fsim
@@ -33,199 +31,139 @@ module Ppsfp = Bist_sim.Ppsfp
 let pool2 = Pool.create ~jobs:2 ()
 let pool4 = Pool.create ~jobs:4 ()
 
-(* Force every call through the requested kernel regardless of the
-   environment the suite runs under. *)
-let with_fsim impl f =
-  let old = Sys.getenv_opt "BIST_FSIM" in
-  Unix.putenv "BIST_FSIM" impl;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "BIST_FSIM" (Option.value old ~default:""))
-    f
-
 (* Sharding forced into [jobs] chunks / suppressed entirely — the two
    sides of the crossover, pinned independently of this host's cores. *)
 let tune_shard () = Tune.create ~min_units:1 ()
 let tune_seq () = Tune.create ~min_units:max_int ()
 
-let det_times ?pool ?tune impl universe seq =
-  with_fsim impl (fun () ->
-      let outcome = Fsim.run ?pool ?tune universe seq in
-      outcome.Fsim.det_time)
+let det_times ?pool ?tune universe seq = (Fsim.run ?pool ?tune universe seq).Fsim.det_time
 
 let seq_for circuit ~seed ~len =
   let rng = Rng.create seed in
   Tseq.random_binary rng ~width:(Netlist.num_inputs circuit) ~length:len
 
-(* PPSFP vs Packed_sim on the 25 seeded synthetics, at widths 1/2/4 and
-   across the crossover boundary. *)
-let test_synthetics_ppsfp_vs_packed () =
+(* PPSFP vs the mutant oracle on the 25 seeded synthetics, at widths
+   1/2/4 and across the crossover boundary. *)
+let test_synthetics_ppsfp_vs_oracle () =
   for seed = 0 to 24 do
     let circuit = Testutil.small_circuit (17 * seed) in
     let universe = Universe.collapsed circuit in
     let seq = seq_for circuit ~seed:(seed + 1) ~len:(10 + (seed mod 25)) in
-    let reference = det_times "packed" universe seq in
-    let label variant = Printf.sprintf "seed %d: %s == packed" seed variant in
+    let reference = Testutil.mutant_det_times universe seq in
+    let label variant = Printf.sprintf "seed %d: %s == Seq_sim mutants" seed variant in
     Alcotest.(check (array int))
       (label "ppsfp sequential")
       reference
-      (det_times ~tune:(tune_seq ()) "ppsfp" universe seq);
+      (det_times ~tune:(tune_seq ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=2 sharded")
       reference
-      (det_times ~pool:pool2 ~tune:(tune_shard ()) "ppsfp" universe seq);
+      (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=4 sharded")
       reference
-      (det_times ~pool:pool4 ~tune:(tune_shard ()) "ppsfp" universe seq);
+      (det_times ~pool:pool4 ~tune:(tune_shard ()) universe seq);
     Alcotest.(check (array int))
       (label "ppsfp jobs=4 below crossover")
       reference
-      (det_times ~pool:pool4 ~tune:(tune_seq ()) "ppsfp" universe seq);
-    Alcotest.(check (array int))
-      (label "packed jobs=4 sharded")
-      reference
-      (det_times ~pool:pool4 ~tune:(tune_shard ()) "packed" universe seq)
+      (det_times ~pool:pool4 ~tune:(tune_seq ()) universe seq)
   done
 
-(* Same cross-check on every registry circuit. *)
-let test_registry_ppsfp_vs_packed () =
+(* CRC-32 of each registry circuit's whole fault table (seed 23, 24
+   vectors), as computed by the full-sweep packed kernel that the tree
+   carried beside PPSFP and that this suite held PPSFP equal to. *)
+let registry_pins =
+  [ ("s27", 0x2cc25d97l); ("x298", 0xa031f873l); ("x344", 0x1d907b7bl);
+    ("x382", 0xb955212fl); ("x400", 0xa5f5588dl); ("x526", 0xfaff0852l);
+    ("x641", 0x30b4f1bdl); ("x820", 0x7daf4d4fl); ("x1196", 0x81ddac32l);
+    ("x1423", 0x2e436cafl); ("x1488", 0x0f312e3cl); ("x5378", 0xe2925ec6l);
+    ("x35932", 0x646c3fbbl) ]
+
+let table_crc det =
+  Bist_resilience.Crc32.string
+    (String.concat "," (Array.to_list (Array.map string_of_int det)))
+
+let registry_case (entry : Bist_bench.Registry.entry) =
+  let universe = Universe.collapsed (entry.circuit ()) in
+  (universe, seq_for (Universe.circuit universe) ~seed:23 ~len:24)
+
+let test_registry_pinned_tables () =
+  let crc = Alcotest.testable (fun fmt c -> Format.fprintf fmt "%08lx" c) Int32.equal in
+  Alcotest.(check (list string)) "every registry circuit is pinned"
+    (List.map fst registry_pins)
+    (List.map (fun (e : Bist_bench.Registry.entry) -> e.name) (Bist_bench.Registry.all ()));
   List.iter
     (fun (entry : Bist_bench.Registry.entry) ->
-      let circuit = entry.circuit () in
-      let universe = Universe.collapsed circuit in
-      let seq = seq_for circuit ~seed:23 ~len:24 in
-      let reference = det_times "packed" universe seq in
-      Alcotest.(check (array int))
-        (entry.name ^ ": ppsfp == packed")
-        reference
-        (det_times ~tune:(tune_seq ()) "ppsfp" universe seq);
-      Alcotest.(check (array int))
-        (entry.name ^ ": ppsfp jobs=2 == packed")
-        reference
-        (det_times ~pool:pool2 ~tune:(tune_shard ()) "ppsfp" universe seq))
+      let universe, seq = registry_case entry in
+      let pin = List.assoc entry.name registry_pins in
+      let check variant det =
+        Alcotest.check crc (Printf.sprintf "%s: %s table" entry.name variant) pin
+          (table_crc det)
+      in
+      check "ppsfp" (det_times ~tune:(tune_seq ()) universe seq);
+      check "ppsfp jobs=2 sharded" (det_times ~pool:pool2 ~tune:(tune_shard ()) universe seq);
+      check "ppsfp jobs=2 below crossover"
+        (det_times ~pool:pool2 ~tune:(tune_seq ()) universe seq))
+    (Bist_bench.Registry.all ())
+
+(* The scalar oracle over a whole registry universe costs about a minute
+   on x5378, so each circuit is checked on a deterministic stride of at
+   most 64 faults. *)
+let test_registry_mutant_stride () =
+  List.iter
+    (fun (entry : Bist_bench.Registry.entry) ->
+      let universe, seq = registry_case entry in
+      let size = Universe.size universe in
+      let ids = List.sort_uniq compare (List.init (min 64 size) (fun i -> i * size / min 64 size)) in
+      let table = det_times universe seq in
+      let oracle = Testutil.mutant_det_times ~ids universe seq in
+      List.iter
+        (fun id ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s fault %s" entry.name
+               (Fault.name (Universe.circuit universe) (Universe.get universe id)))
+            oracle.(id) table.(id))
+        ids)
     (Bist_bench.Registry.all ())
 
 (* The qcheck property: any synthetic circuit, any binary sequence, any
-   width/crossover side — same table. *)
+   width/crossover side — the oracle's table. *)
 let ppsfp_differential_property =
   Testutil.qcheck
-    (QCheck.Test.make ~name:"ppsfp == packed (random circuit/seq/width)"
+    (QCheck.Test.make ~name:"ppsfp == Seq_sim mutants (random)"
        ~count:40 Testutil.circuit_and_seq
        (fun (cseed, sseed, len) ->
          let circuit = Testutil.small_circuit cseed in
          let universe = Universe.collapsed circuit in
          let seq = seq_for circuit ~seed:sseed ~len in
-         let reference = det_times "packed" universe seq in
          let pool, tune =
            match (cseed + sseed + len) mod 3 with
            | 0 -> (None, tune_seq ())
            | 1 -> (Some pool2, tune_shard ())
            | _ -> (Some pool4, tune_shard ())
          in
-         reference = det_times ?pool ~tune "ppsfp" universe seq))
+         Testutil.mutant_det_times universe seq = det_times ?pool ~tune universe seq))
 
-(* --- structural fault compilation for the Event_sim oracle ---------- *)
-
-let const_name = "__sa_const"
-let orig_prefix = "__sa_orig_"
-
-(* Rebuild [circuit] with [fault] baked into the structure. *)
-let mutant circuit (fault : Fault.t) =
-  let b = Builder.create ~name:(Netlist.circuit_name circuit ^ "_mutant") in
-  let stuck_kind =
-    match fault.stuck with
-    | T.One -> Gate.Const1
-    | T.Zero -> Gate.Const0
-    | T.X -> invalid_arg "mutant: stuck-at-X"
-  in
-  Builder.add_gate b ~output:const_name stuck_kind [];
-  let stem =
-    match fault.site with Fault.Output n -> Some n | Fault.Pin _ -> None
-  in
-  Array.iter
-    (fun node ->
-      match stem with
-      | Some n when n = node ->
-        (* The faulty input keeps its declaration (sequence width and
-           input order must not change) under a fresh unused name; the
-           original name becomes the constant. *)
-        Builder.add_input b (orig_prefix ^ Netlist.name circuit node)
-      | _ -> Builder.add_input b (Netlist.name circuit node))
-    (Netlist.inputs circuit);
-  for node = 0 to Netlist.size circuit - 1 do
-    let kind = Netlist.kind circuit node in
-    if kind <> Gate.Input then begin
-      let fanin_names =
-        Array.to_list
-          (Array.mapi
-             (fun pin d ->
-               match fault.site with
-               | Fault.Pin { gate; pin = p } when gate = node && p = pin ->
-                 const_name
-               | _ -> Netlist.name circuit d)
-             (Netlist.fanins circuit node))
-      in
-      match stem with
-      | Some n when n = node ->
-        (* Stem fault on a gate or flip-flop output: the original gate
-           survives under a fresh name (its value is simply unobserved),
-           the original name becomes the constant every consumer and
-           primary output reads. *)
-        Builder.add_gate b ~output:(orig_prefix ^ Netlist.name circuit node)
-          kind fanin_names;
-        Builder.add_gate b ~output:(Netlist.name circuit node) stuck_kind []
-      | _ -> Builder.add_gate b ~output:(Netlist.name circuit node) kind fanin_names
-    end
-    else if stem = Some node then
-      Builder.add_gate b ~output:(Netlist.name circuit node) stuck_kind []
-  done;
-  Array.iter
-    (fun po -> Builder.add_output b (Netlist.name circuit po))
-    (Netlist.outputs circuit);
-  Builder.finalize b
-
-(* First time unit where some primary output is binary in the fault-free
-   run and the opposite binary value in the faulty run — the paper's
-   detection condition, evaluated on scalar simulations. *)
-let scalar_det_time good bad =
-  let len = Array.length good in
-  let npo = if len = 0 then 0 else Vector.width good.(0) in
-  let rec go u =
-    if u >= len then -1
-    else begin
-      let differs = ref false in
-      for i = 0 to npo - 1 do
-        match (Vector.get good.(u) i, Vector.get bad.(u) i) with
-        | T.One, T.Zero | T.Zero, T.One -> differs := true
-        | _ -> ()
-      done;
-      if !differs then u else go (u + 1)
-    end
-  in
-  go 0
-
-let check_event_sim_oracle circuit ~seed ~len =
+let check_mutant_oracle circuit ~seed ~len =
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed ~len in
-  let good = Bist_sim.Event_sim.run circuit seq in
-  let table = det_times "ppsfp" universe seq in
+  let reference = Testutil.mutant_det_times universe seq in
+  let table = det_times universe seq in
   Universe.iter
     (fun id fault ->
-      let bad = Bist_sim.Event_sim.run (mutant circuit fault) seq in
       Alcotest.(check int)
         (Printf.sprintf "%s fault %s" (Netlist.circuit_name circuit)
            (Fault.name circuit fault))
-        (scalar_det_time good bad) table.(id))
+        reference.(id) table.(id))
     universe
 
-let test_event_sim_oracle_s27 () =
-  check_event_sim_oracle (Bist_bench.S27.circuit ()) ~seed:3 ~len:32
+let test_mutant_oracle_s27 () =
+  check_mutant_oracle (Bist_bench.S27.circuit ()) ~seed:3 ~len:32
 
-let test_event_sim_oracle_synthetics () =
+let test_mutant_oracle_synthetics () =
   List.iter
     (fun cseed ->
-      check_event_sim_oracle (Testutil.small_circuit cseed) ~seed:(cseed + 5)
-        ~len:20)
+      check_mutant_oracle (Testutil.small_circuit cseed) ~seed:(cseed + 5) ~len:20)
     [ 1; 2; 3; 4; 5 ]
 
 (* --- kernel-level properties ---------------------------------------- *)
@@ -261,12 +199,12 @@ let test_drop_lanes_preserves_other_lanes () =
   let circuit = Bist_bench.S27.circuit () in
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed:12 ~len:24 in
-  let reference = det_times "packed" universe seq in
-  (* The production path drops on detection; equality with the packed
-     kernel (which never drops) is exactly the preservation property,
-     fault by fault. *)
-  Alcotest.(check (array int)) "dropping == never dropping" reference
-    (det_times "ppsfp" universe seq)
+  let reference = Testutil.mutant_det_times universe seq in
+  (* The production path drops on detection; equality with the scalar
+     oracle (one machine per fault, nothing to drop) is exactly the
+     preservation property, fault by fault. *)
+  Alcotest.(check (array int)) "dropping == one machine per fault" reference
+    (det_times universe seq)
 
 let test_lane0_reserved_and_validation () =
   let circuit = Bist_bench.S27.circuit () in
@@ -297,7 +235,7 @@ let test_lane0_reserved_and_validation () =
 let check_save_restore circuit ~seed ~len ~u =
   let universe = Universe.collapsed circuit in
   let seq = seq_for circuit ~seed ~len in
-  let reference = det_times "ppsfp" universe seq in
+  let reference = det_times universe seq in
   let good = Bist_sim.Seq_sim.run circuit seq in
   let n_faults = Universe.size universe in
   let install sim id ~lane =
@@ -351,8 +289,8 @@ let check_save_restore circuit ~seed ~len ~u =
           (Fault.name circuit fault) u
       in
       Alcotest.(check int) (label ^ " == uninterrupted") reference.(id j) det.(j);
-      let bad = Bist_sim.Seq_sim.run (mutant circuit fault) seq in
-      Alcotest.(check int) (label ^ " == Seq_sim mutant") (scalar_det_time good bad)
+      let bad = Bist_sim.Seq_sim.run (Testutil.mutant circuit fault) seq in
+      Alcotest.(check int) (label ^ " == Seq_sim mutant") (Testutil.scalar_det_time good bad)
         det.(j)
     done;
     base := !base + size
@@ -396,6 +334,50 @@ let test_splice_equals_fresh_trace () =
       (Testutil.small_circuit 41, 3, 30);
       ((Option.get (Bist_bench.Registry.find "x298")).circuit (), 4, 40) ]
 
+(* A trace started from a state is the tail of the trace of the whole
+   sequence, node for node, whether or not it is built in reused
+   storage; and every node of a trace is Seq_sim's fault-free value. *)
+let test_trace_state_and_reuse () =
+  List.iter
+    (fun (circuit, seed, len, at) ->
+      let seq = seq_for circuit ~seed ~len in
+      let sim = Ppsfp.create circuit in
+      let whole = Ppsfp.trace sim seq in
+      let scalar = Bist_sim.Seq_sim.create circuit in
+      let name = Netlist.circuit_name circuit in
+      for u = 0 to len - 1 do
+        ignore (Bist_sim.Seq_sim.step scalar (Tseq.get seq u));
+        for node = 0 to Netlist.size circuit - 1 do
+          Alcotest.check Testutil.ternary_testable
+            (Printf.sprintf "%s step %d node %s" name u (Netlist.name circuit node))
+            (Bist_sim.Seq_sim.node_value scalar node)
+            (Ppsfp.trace_value whole u node)
+        done
+      done;
+      let tail = Tseq.sub seq ~lo:at ~hi:(len - 1) in
+      let state = Ppsfp.trace_state whole at in
+      let spent = Ppsfp.trace sim (seq_for circuit ~seed:(seed + 1) ~len) in
+      ignore (Ppsfp.trace_state spent (len - 1));
+      let small = Ppsfp.trace sim (seq_for circuit ~seed ~len:1) in
+      List.iter
+        (fun (variant, tr) ->
+          for u = 0 to len - at - 1 do
+            let label = Printf.sprintf "%s %s: step %d" name variant u in
+            Alcotest.(check bytes) (label ^ " state") (Ppsfp.trace_state whole (at + u))
+              (Ppsfp.trace_state tr u);
+            for node = 0 to Netlist.size circuit - 1 do
+              Alcotest.check Testutil.ternary_testable label
+                (Ppsfp.trace_value whole (at + u) node)
+                (Ppsfp.trace_value tr u node)
+            done
+          done)
+        [ ("fresh", Ppsfp.trace ~state sim tail);
+          ("reused", Ppsfp.trace ~reuse:spent ~state sim tail);
+          ("outgrown", Ppsfp.trace ~reuse:small ~state sim tail) ])
+    [ (Bist_bench.S27.circuit (), 2, 20, 7);
+      (Testutil.small_circuit 41, 3, 30, 11);
+      ((Option.get (Bist_bench.Registry.find "x298")).circuit (), 4, 40, 13) ]
+
 let test_state_validation () =
   let circuit = Bist_bench.S27.circuit () in
   let sim = Ppsfp.create circuit in
@@ -403,43 +385,40 @@ let test_state_validation () =
   Alcotest.check_raises "state width"
     (Invalid_argument "Ppsfp: state width differs from the flip-flop count")
     (fun () -> Ppsfp.reset ~state:(Bytes.make (width + 1) '\000') sim);
+  Alcotest.check_raises "trace state width"
+    (Invalid_argument "Ppsfp: state width differs from the flip-flop count")
+    (fun () ->
+      ignore (Ppsfp.trace ~state:(Bytes.make (width - 1) '\000') sim (seq_for circuit ~seed:1 ~len:2)));
   Alcotest.check_raises "state code" (Invalid_argument "Ppsfp: bad state code")
     (fun () -> Ppsfp.load_lane sim ~lane:1 (Bytes.make width '\003'));
   Alcotest.check_raises "lane 0 is not loadable"
     (Invalid_argument "Ppsfp: lane out of range 1..62") (fun () ->
       Ppsfp.load_lane sim ~lane:0 (Bytes.make width '\000'))
 
-(* BIST_FSIM validation: unknown values warn and fall back to ppsfp. *)
-let test_bist_fsim_fallback () =
-  let circuit = Bist_bench.S27.circuit () in
-  let universe = Universe.collapsed circuit in
-  let seq = seq_for circuit ~seed:4 ~len:12 in
-  let reference = det_times "ppsfp" universe seq in
-  Alcotest.(check (array int)) "unknown BIST_FSIM falls back to ppsfp"
-    reference
-    (det_times "no-such-kernel" universe seq)
-
 let suite =
   [
-    Alcotest.test_case "synthetics: ppsfp == packed at widths 1/2/4" `Slow
-      test_synthetics_ppsfp_vs_packed;
+    Alcotest.test_case "synthetics: ppsfp == Seq_sim mutants" `Slow
+      test_synthetics_ppsfp_vs_oracle;
     Alcotest.test_case "registry: ppsfp == packed" `Slow
-      test_registry_ppsfp_vs_packed;
+      test_registry_pinned_tables;
+    Alcotest.test_case "registry: mutants on a stride" `Slow
+      test_registry_mutant_stride;
     ppsfp_differential_property;
-    Alcotest.test_case "event-sim oracle on s27 (structural mutants)" `Quick
-      test_event_sim_oracle_s27;
-    Alcotest.test_case "event-sim oracle on synthetics" `Slow
-      test_event_sim_oracle_synthetics;
+    Alcotest.test_case "seq-sim oracle on s27 (mutants)" `Quick
+      test_mutant_oracle_s27;
+    Alcotest.test_case "seq-sim oracle on synthetics" `Slow
+      test_mutant_oracle_synthetics;
     Alcotest.test_case "event core skips quiescent levels" `Quick
       test_event_core_skips_quiescent_levels;
     Alcotest.test_case "fault dropping preserves other lanes" `Quick
       test_drop_lanes_preserves_other_lanes;
     Alcotest.test_case "ppsfp argument validation" `Quick
       test_lane0_reserved_and_validation;
-    Alcotest.test_case "BIST_FSIM fallback" `Quick test_bist_fsim_fallback;
     Alcotest.test_case "lane states save/restore across groups" `Quick
       test_save_restore_lanes;
     Alcotest.test_case "spliced trace == fresh trace" `Quick
       test_splice_equals_fresh_trace;
+    Alcotest.test_case "trace from a state, reused storage" `Quick
+      test_trace_state_and_reuse;
     Alcotest.test_case "state argument validation" `Quick test_state_validation;
   ]

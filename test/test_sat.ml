@@ -1,6 +1,6 @@
 (* SAT subsystem tests: solver core vs brute force, CNF encoder vs the
-   packed fault simulator, DIMACS round-trip, and verdict cross-checks
-   on synthetic and registry circuits. *)
+   scalar simulator and the fault simulator, DIMACS round-trip, and
+   verdict cross-checks on synthetic and registry circuits. *)
 
 module Solver = Bist_sat.Solver
 
@@ -153,7 +153,7 @@ let test_solver_budget () =
   Alcotest.(check bool) "full solve proves unsat" true
     (Solver.solve s = Solver.Unsat)
 
-(* --- CNF encoder vs the packed simulator ---------------------------- *)
+(* --- CNF encoder vs the simulators ----------------------------------- *)
 
 module Cnf = Bist_sat.Cnf
 module Satgen = Bist_sat.Satgen
@@ -162,11 +162,10 @@ module Netlist = Bist_circuit.Netlist
 module Fault = Bist_fault.Fault
 module Fsim = Bist_fault.Fsim
 module Universe = Bist_fault.Universe
-module Packed_sim = Bist_sim.Packed_sim
+module Seq_sim = Bist_sim.Seq_sim
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
-module P = Bist_logic.Packed
 
 (* Constrain the view's PIs to a binary sequence via assumptions. *)
 let pi_assumptions view seq =
@@ -181,8 +180,9 @@ let pi_assumptions view seq =
       | T.X -> invalid_arg "pi_assumptions: X")
 
 (* Under a fully-constrained binary input sequence, every good rail
-   pair in the CNF must decode to exactly the simulator's lane-0 value
-   for every node at every frame. *)
+   pair in the CNF must decode to exactly the fault-free machine's
+   value (Seq_sim's, the fault simulator's lane 0) for every node at
+   every frame. *)
 let good_rails_vs_sim =
   QCheck.Test.make ~count:40 ~name:"good rails match simulator lane 0"
     (QCheck.make
@@ -205,11 +205,10 @@ let good_rails_vs_sim =
       (match Solver.solve ~assumptions:(pi_assumptions view seq) solver with
       | Solver.Sat -> ()
       | _ -> QCheck.Test.fail_report "good view unsat under binary inputs");
-      let sim = Packed_sim.create circuit in
-      Packed_sim.reset sim;
+      let sim = Seq_sim.create circuit in
       let ok = ref true in
       for f = 0 to k - 1 do
-        Packed_sim.step sim (Tseq.get seq f);
+        ignore (Seq_sim.step sim (Tseq.get seq f));
         for n = 0 to Netlist.size circuit - 1 do
           let o, z = Cnf.good_rails view ~frame:f n in
           let decoded =
@@ -219,7 +218,7 @@ let good_rails_vs_sim =
             | false, false -> T.X
             | true, true -> T.X (* rails exclusive by construction *)
           in
-          if decoded <> P.get (Packed_sim.node_value sim n) 0 then ok := false
+          if decoded <> Seq_sim.node_value sim n then ok := false
         done
       done;
       !ok)
@@ -276,9 +275,8 @@ let test_exact_verdicts_brute () =
         universe)
     [ 0; 4; 8 ]
 
-(* The ISSUE-level cross-check: SAT verdicts vs the packed fault
-   simulator on the 25 seeded synthetic circuits, at a small frame
-   bound. UNSAT => random simulation must never detect; SAT => the
+(* The end-to-end cross-check: SAT verdicts vs the fault simulator on
+   the 25 seeded synthetic circuits, at a small frame bound. UNSAT => random simulation must never detect; SAT => the
    decoded test detects (checked by Satgen itself, re-checked here). *)
 let verdicts_vs_sim =
   QCheck.Test.make ~count:25 ~name:"verdicts vs simulator on synthetics"

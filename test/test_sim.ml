@@ -1,11 +1,12 @@
 (* Suites for Bist_sim: Seq_sim semantics on known circuits, and the
-   packed simulator's lane-0 equivalence with the scalar simulator. *)
+   PPSFP kernel's forces and its lane-0 equivalence with the scalar
+   simulator. *)
 
 module Tseq = Bist_logic.Tseq
 module Vector = Bist_logic.Vector
 module T = Bist_logic.Ternary
 module Seq_sim = Bist_sim.Seq_sim
-module Packed_sim = Bist_sim.Packed_sim
+module Ppsfp = Bist_sim.Ppsfp
 module Netlist = Bist_circuit.Netlist
 
 let run_strings circuit strings =
@@ -81,123 +82,108 @@ let test_width_check () =
   Alcotest.check_raises "width" (Invalid_argument "Seq_sim.step: vector width mismatch")
     (fun () -> ignore (Seq_sim.step sim (Vector.of_string "10")))
 
-(* Differential: packed lane 0 with no forces == scalar simulator, over
-   random circuits and random (possibly X-bearing) sequences. *)
-let test_packed_lane0_equals_scalar =
+(* Differential: with no forces, a PPSFP group's lane 0 and its trace
+   are the scalar simulator, over random circuits and sequences: the
+   trace's primary outputs at every step, lane 0's flip-flop state
+   after every step. *)
+let test_ppsfp_lane0_equals_scalar =
   Testutil.qcheck
-    (QCheck.Test.make ~name:"Packed_sim lane 0 == Seq_sim" ~count:60
+    (QCheck.Test.make ~name:"Ppsfp lane zero == Seq_sim" ~count:60
        Testutil.circuit_and_seq
        (fun (cseed, sseed, len) ->
          let circuit = Testutil.small_circuit cseed in
          let width = Netlist.num_inputs circuit in
          let rng = Bist_util.Rng.create sseed in
          let seq = Tseq.random_binary rng ~width ~length:len in
-         let scalar = Seq_sim.run circuit seq in
-         let packed = Packed_sim.create circuit in
+         let scalar = Seq_sim.create circuit in
+         let sim = Ppsfp.create circuit in
+         let tr = Ppsfp.trace sim seq in
+         Ppsfp.reset sim;
          let ok = ref true in
          Tseq.iteri
            (fun u vec ->
-             Packed_sim.step packed vec;
+             let outs = Seq_sim.step scalar vec in
+             Ppsfp.step sim tr u;
              Array.iteri
-               (fun i _ ->
-                 let got = Bist_logic.Packed.get (Packed_sim.po_value packed i) 0 in
-                 if not (T.equal got (Vector.get scalar.(u) i)) then ok := false)
-               (Netlist.outputs circuit))
+               (fun i po ->
+                 if not (T.equal (Ppsfp.trace_value tr u po) (Vector.get outs i)) then
+                   ok := false)
+               (Netlist.outputs circuit);
+             let lane0 = Ppsfp.lane_state sim ~lane:0 in
+             Array.iteri
+               (fun i v ->
+                 let code = match v with T.One -> 1 | T.Zero -> 2 | T.X -> 0 in
+                 if Char.code (Bytes.get lane0 i) <> code then ok := false)
+               (Seq_sim.ff_state scalar))
            seq;
          !ok))
+
+(* Step [sim] over [vectors] from reset; returns the last detection mask. *)
+let run_group sim vectors =
+  let seq = Tseq.of_strings vectors in
+  let tr = Ppsfp.trace sim seq in
+  Ppsfp.reset sim;
+  for u = 0 to Tseq.length seq - 1 do
+    Ppsfp.step sim tr u
+  done;
+  Ppsfp.po_diff_lanes sim
+
+(* The value flip-flop [name] holds in a lane state. *)
+let ff_code circuit state name =
+  let node = Netlist.find_exn circuit name in
+  let i = Option.get (Array.find_index (( = ) node) (Netlist.dffs circuit)) in
+  match Bytes.get state i with '\001' -> T.One | '\002' -> T.Zero | _ -> T.X
 
 (* An output force on lane k makes that lane behave like the forced
    constant; lane 0 stays fault-free. *)
 let test_packed_forcing () =
   let c = Bist_bench.Teaching.shift4 () in
-  let sim = Packed_sim.create c in
+  let sim = Ppsfp.create c in
   let q0 = Netlist.find_exn c "q0" in
-  Packed_sim.add_output_force sim q0 ~mask:0b10 T.One;
-  Packed_sim.step sim (Vector.of_string "0");
-  Packed_sim.step sim (Vector.of_string "0");
-  Packed_sim.step sim (Vector.of_string "0");
-  (* After three cycles q1's fault-free value is the 0 shifted in at
-     cycle 1, while lane 1 carries the forced q0. *)
-  let q1_word = Packed_sim.po_value sim 1 in
+  Ppsfp.add_output_force sim q0 ~mask:0b10 T.One;
+  let diff = run_group sim [ "0"; "0"; "0" ] in
+  (* After three zeros the fault-free q1 has latched a 0, while lane
+     1's q1 latched the forced q0. *)
   Alcotest.check Testutil.ternary_testable "lane0 good" T.Zero
-    (Bist_logic.Packed.get q1_word 0);
+    (ff_code c (Ppsfp.lane_state sim ~lane:0) "q1");
   Alcotest.check Testutil.ternary_testable "lane1 faulty" T.One
-    (Bist_logic.Packed.get q1_word 1);
-  Alcotest.(check bool) "diff detected" true (Packed_sim.po_diff_lanes sim land 0b10 <> 0)
+    (ff_code c (Ppsfp.lane_state sim ~lane:1) "q1");
+  Alcotest.(check int) "diff detected in lane 1 only" 0b10 diff
 
 let test_packed_pin_force_is_local () =
-  (* Force only b1's input pin (branch of q0): q1 is affected, but the
-     other consumer of q0 (the PO) is not. *)
-  let c =
-    Bist_circuit.Bench_parser.parse_string ~name:"branch"
-      "INPUT(a)\nOUTPUT(y)\nOUTPUT(z)\nb = BUF(a)\ny = BUF(b)\nz = NOT(b)\n"
+  (* Force only y's input pin (a branch of b): y is affected, but the
+     other consumer of b (z) is not. *)
+  let text outputs =
+    outputs ^ "INPUT(a)\nb = BUF(a)\ny = BUF(b)\nz = NOT(b)\n"
   in
-  let sim = Packed_sim.create c in
-  let y_gate = Netlist.find_exn c "y" in
-  Packed_sim.add_pin_force sim ~gate:y_gate ~pin:0 ~mask:0b10 T.Zero;
-  Packed_sim.step sim (Vector.of_string "1");
-  let y = Packed_sim.po_value sim 0 and z = Packed_sim.po_value sim 1 in
-  Alcotest.check Testutil.ternary_testable "y lane1 forced" T.Zero
-    (Bist_logic.Packed.get y 1);
-  Alcotest.check Testutil.ternary_testable "z lane1 unaffected" T.Zero
-    (Bist_logic.Packed.get z 1);
-  Alcotest.check Testutil.ternary_testable "y lane0 good" T.One
-    (Bist_logic.Packed.get y 0)
+  let check outputs ~pin expected label =
+    let c = Bist_circuit.Bench_parser.parse_string ~name:"branch" (text outputs) in
+    let sim = Ppsfp.create c in
+    let y_gate = Netlist.find_exn c "y" in
+    if pin then Ppsfp.add_pin_force sim ~gate:y_gate ~pin:0 ~mask:0b10 T.Zero
+    else Ppsfp.add_output_force sim (Netlist.find_exn c "b") ~mask:0b10 T.Zero;
+    Alcotest.(check int) label expected (run_group sim [ "1" ])
+  in
+  check "OUTPUT(y)\n" ~pin:true 0b10 "y lane1 forced";
+  check "OUTPUT(z)\n" ~pin:true 0 "z lane1 unaffected";
+  check "OUTPUT(z)\n" ~pin:false 0b10 "a stem force reaches z"
 
 let test_packed_clear_forces () =
   let c = Bist_bench.Teaching.shift4 () in
-  let sim = Packed_sim.create c in
+  let sim = Ppsfp.create c in
   let q0 = Netlist.find_exn c "q0" in
-  Packed_sim.add_output_force sim q0 ~mask:0b10 T.One;
-  Packed_sim.clear_forces sim;
-  Packed_sim.reset sim;
-  Packed_sim.step sim (Vector.of_string "0");
-  Packed_sim.step sim (Vector.of_string "0");
-  Alcotest.(check int) "no diffs after clear" 0 (Packed_sim.po_diff_lanes sim)
+  Ppsfp.add_output_force sim q0 ~mask:0b10 T.One;
+  Ppsfp.clear_forces sim;
+  Alcotest.(check int) "no diffs after clear" 0 (run_group sim [ "0"; "0" ]);
+  Alcotest.(check bytes) "lanes agree after clear" (Ppsfp.lane_state sim ~lane:0)
+    (Ppsfp.lane_state sim ~lane:1)
 
 let test_packed_lane0_reserved () =
   let c = Bist_bench.Teaching.shift4 () in
-  let sim = Packed_sim.create c in
+  let sim = Ppsfp.create c in
   Alcotest.check_raises "lane 0"
-    (Invalid_argument "Packed_sim: lane 0 is reserved for the fault-free machine")
-    (fun () -> Packed_sim.add_output_force sim 0 ~mask:1 T.One)
-
-(* The event-driven engine must agree with the levelized one. *)
-let test_event_sim_equals_levelized =
-  Testutil.qcheck
-    (QCheck.Test.make ~name:"Event_sim == Seq_sim" ~count:60
-       Testutil.circuit_and_seq
-       (fun (cseed, sseed, len) ->
-         let circuit = Testutil.small_circuit cseed in
-         let width = Netlist.num_inputs circuit in
-         let rng = Bist_util.Rng.create sseed in
-         let seq = Tseq.random_binary rng ~width ~length:len in
-         let a = Seq_sim.run circuit seq in
-         let b = Bist_sim.Event_sim.run circuit seq in
-         Array.for_all2 Vector.equal a b))
-
-let test_event_sim_reset_and_reuse () =
-  let circuit = Bist_bench.Teaching.counter3 () in
-  let sim = Bist_sim.Event_sim.create circuit in
-  let step s = Vector.to_string (Bist_sim.Event_sim.step sim (Vector.of_string s)) in
-  ignore (step "10");
-  Alcotest.(check string) "after reset vector" "000" (step "01");
-  Bist_sim.Event_sim.reset sim;
-  ignore (step "10");
-  Alcotest.(check string) "same trace after reset" "000" (step "01")
-
-let test_event_sim_activity () =
-  (* On a hold sequence (same vector repeated) the event engine settles:
-     far fewer evaluations than gates x cycles. *)
-  let circuit = Testutil.small_circuit 3 in
-  let width = Netlist.num_inputs circuit in
-  let v = Vector.create width T.Zero in
-  let seq = Tseq.of_vectors (Array.make 50 v) in
-  let sim = Bist_sim.Event_sim.create circuit in
-  Tseq.iter (fun vec -> ignore (Bist_sim.Event_sim.step sim vec)) seq;
-  let full_cost = 50 * Netlist.num_gates circuit in
-  Alcotest.(check bool) "event engine is lazy" true
-    (Bist_sim.Event_sim.evaluations sim < full_cost / 2)
+    (Invalid_argument "Ppsfp: lane 0 is reserved for the fault-free machine")
+    (fun () -> Ppsfp.add_output_force sim 0 ~mask:1 T.One)
 
 let suite =
   [
@@ -209,12 +195,9 @@ let suite =
     Alcotest.test_case "johnson counter" `Quick test_johnson4;
     Alcotest.test_case "X initial state" `Quick test_x_initial_state;
     Alcotest.test_case "width check" `Quick test_width_check;
-    test_packed_lane0_equals_scalar;
+    test_ppsfp_lane0_equals_scalar;
     Alcotest.test_case "packed forcing" `Quick test_packed_forcing;
     Alcotest.test_case "pin force is local" `Quick test_packed_pin_force_is_local;
     Alcotest.test_case "clear forces" `Quick test_packed_clear_forces;
     Alcotest.test_case "lane 0 reserved" `Quick test_packed_lane0_reserved;
-    test_event_sim_equals_levelized;
-    Alcotest.test_case "event sim reset" `Quick test_event_sim_reset_and_reuse;
-    Alcotest.test_case "event sim activity" `Quick test_event_sim_activity;
   ]

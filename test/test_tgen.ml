@@ -85,8 +85,7 @@ let test_compaction_idempotent_coverage =
    must-detect fault. *)
 let keeps_coverage universe must_detect candidate =
   Bitset.subset must_detect
-    (Fsim.run ~targets:must_detect ~stop_when_all_detected:true universe
-       candidate)
+    (Fsim.run ~targets:must_detect universe candidate)
       .Fsim.detected
 
 (* The block-omission scan driven by [keeps_coverage]: same block

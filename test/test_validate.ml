@@ -131,6 +131,35 @@ let test_directed_respects_budget () =
   Alcotest.(check bool) "bounded evaluations" true
     (outcome.Bist_tgen.Directed.evaluations <= 4 + (3 * 4))
 
+(* The search's whole trajectory is pinned: the CRC-32 of every
+   collapsed fault's (best fitness, evaluations, segment) on four
+   circuits, from a fixed prefix and rng seed. A segment that merely
+   detects is not enough — on the registry the search rarely succeeds,
+   so T0 bytes cannot tell a changed fitness from an unchanged one. *)
+let test_directed_golden () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun circuit ->
+      let universe = Bist_fault.Universe.collapsed circuit in
+      let prefix =
+        Bist_logic.Tseq.random_binary (Bist_util.Rng.create 5)
+          ~width:(Bist_circuit.Netlist.num_inputs circuit) ~length:12
+      in
+      let rng = Bist_util.Rng.create 2026 in
+      Bist_fault.Universe.iter
+        (fun _ fault ->
+          let o = Bist_tgen.Directed.search ~rng ~prefix circuit fault in
+          Printf.bprintf buf "%d %d %s;" o.best_fitness o.evaluations
+            (match o.segment with
+            | None -> "-"
+            | Some s -> String.concat "," (Bist_logic.Tseq.to_strings s)))
+        universe)
+    [ Bist_bench.Teaching.shift4 (); Bist_bench.Teaching.counter3 ();
+      Bist_bench.S27.circuit ();
+      (Option.get (Bist_bench.Registry.find "x298")).circuit () ];
+  Alcotest.(check string) "trajectory CRC" "f776cbe5"
+    (Printf.sprintf "%08lx" (Bist_resilience.Crc32.string (Buffer.contents buf)))
+
 let suite =
   [
     Alcotest.test_case "teaching circuits clean" `Quick test_teaching_circuits_clean;
@@ -144,4 +173,5 @@ let suite =
     Alcotest.test_case "directed finds shift4 faults" `Quick
       test_directed_finds_hard_fault;
     Alcotest.test_case "directed respects budget" `Quick test_directed_respects_budget;
+    Alcotest.test_case "directed search golden CRC" `Quick test_directed_golden;
   ]
